@@ -114,9 +114,20 @@ def lowpass(f: FourierField, m: int) -> FourierField:
 # ---------------------------------------------------------------- paraproducts
 
 
+def _band(mask: np.ndarray) -> np.ndarray:
+    """The mask cut after its last nonzero mode (read-only)."""
+    nz = np.flatnonzero(mask)
+    out = mask[:nz[-1] + 1 if nz.size else 0].copy()
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=32)
 def _para_masks(n_modes: int):
     """Per output block j: (lowpass S_{j-1} mask, resonant window mask,
-    block mask)."""
+    block mask), each cut to its band, i.e. after its last nonzero
+    mode, so products of masked factors run on grids sized to the band.
+    Masks of empty bands have length zero."""
     part = DyadicPartition(n_modes)
     _, w = _partition_weights(n_modes)
     out = []
@@ -125,8 +136,8 @@ def _para_masks(n_modes: int):
         lo_row = max(j - 1 + 1, 0)
         hi_row = min(j + 1 + 1, part.j_max + 1)
         window = w[lo_row:hi_row + 1].sum(axis=0)
-        out.append((lo, window, w[j + 1]))
-    return out
+        out.append((_band(lo), _band(window), _band(w[j + 1])))
+    return tuple(out)
 
 
 def _bilinear(f_modes, g_modes, n_modes, which: str):
@@ -135,10 +146,13 @@ def _bilinear(f_modes, g_modes, n_modes, which: str):
     which = "lower": sum_j S_{j-1} f * Delta_j g
     which = "resonant": sum_{|i-j|<=1} Delta_i f * Delta_j g
     """
-    acc = np.zeros_like(g_modes)
+    acc = np.zeros(np.broadcast_shapes(f_modes.shape, g_modes.shape),
+                   dtype=np.complex128)
     for lo, window, blk in _para_masks(n_modes):
-        left = f_modes * (lo if which == "lower" else window)
-        acc = acc + product_modes(left, g_modes * blk, n_modes)
+        left = lo if which == "lower" else window
+        if left.size:
+            acc += product_modes(f_modes[..., :left.size] * left,
+                                 g_modes[..., :blk.size] * blk, n_modes)
     return acc
 
 
@@ -224,17 +238,16 @@ class TimeMollifierBank:
     def smooth(self, values: np.ndarray, j: int) -> np.ndarray:
         """Apply the block-j average along axis 0, reading index 0 for
         times before the start (clamped history)."""
-        w = self.lag_weights(j)
+        n = len(values)
+        # row t reads lags <= t only, so longer kernels are cut to n
+        w = self.lag_weights(j)[:n]
         if len(w) == 1:
             return values
-        n = len(values)
         kernel = w.reshape((-1,) + (1,) * (values.ndim - 1))
         out = fftconvolve(values, kernel, axes=0)[:n]
         # lags reaching past the first node read the clamped value there
-        cum = np.cumsum(w)
         tail = np.zeros(n)
-        upto = min(n, len(w))
-        tail[:upto] = np.clip(1.0 - cum[:upto], 0.0, None)
+        tail[:len(w)] = np.clip(1.0 - np.cumsum(w), 0.0, None)
         out = out + tail.reshape((-1,) + (1,) * (values.ndim - 1)) * values[0]
         return out
 
@@ -245,8 +258,10 @@ def modified_paraproduct(f: Trajectory, g: Trajectory,
     f._check(g)
     acc = np.zeros_like(g.modes)
     for j, (lo, _, blk) in enumerate(_para_masks(g.grid.n_modes), start=-1):
-        left = bank.smooth(f.modes * lo, j)
-        acc = acc + product_modes(left, g.modes * blk, g.grid.n_modes)
+        if lo.size:
+            left = bank.smooth(f.modes[..., :lo.size] * lo, j)
+            acc += product_modes(left, g.modes[..., :blk.size] * blk,
+                                 g.grid.n_modes)
     return Trajectory(g.times, acc, g.grid)
 
 

@@ -1075,17 +1075,22 @@ def _run_appendix_integrals(params, seeds):
 
 def _cross_quadrature(a, b, delta):
     """Adaptive 2-D quadrature of e^{-au-av-b|delta-u+v|} over the
-    quarter-plane, split along the kink line v = u - delta so each
-    piece is smooth."""
-    upper, _ = integrate.dblquad(
-        lambda v, u: math.exp(-a * u - a * v - b * (delta - u + v)),
-        0, np.inf, lambda u: max(u - delta, 0.0), np.inf,
-        epsabs=1e-12, epsrel=1e-12)
+    quarter-plane, split along the kink line v = u - delta and at
+    u = delta, where that line meets the axis v = 0, so each piece has
+    a smooth integrand and smooth inner limits."""
+    def above(v, u):
+        return math.exp(-a * u - a * v - b * (delta - u + v))
+
+    near, _ = integrate.dblquad(above, 0.0, delta, 0.0, np.inf,
+                                epsabs=1e-12, epsrel=1e-12)
+    far, _ = integrate.dblquad(above, delta, np.inf,
+                               lambda u: u - delta, np.inf,
+                               epsabs=1e-12, epsrel=1e-12)
     lower, _ = integrate.dblquad(
         lambda v, u: math.exp(-a * u - a * v - b * (u - delta - v)),
         delta, np.inf, 0.0, lambda u: u - delta,
         epsabs=1e-12, epsrel=1e-12)
-    return upper + lower
+    return near + far + lower
 
 
 def _appendix_identities(params):

@@ -196,9 +196,10 @@ def solve_mollified(config: NoiseConfig, u0: FourierField,
     transported square.  Each step solves the trapezoid relation
     implicitly (fixed point in the new node), which keeps the step a
     strict evaluation of the same discrete map the Picard solvers
-    converge to.  The returned metadata carries the re-integrated mild
-    defect of w; Y satisfies its own integral identity exactly by
-    construction.
+    converge to; a step still short of ``step_tol`` after
+    ``max_step_iter`` iterations raises NoContraction.  The returned
+    metadata carries the re-integrated mild defect of w; Y satisfies
+    its own integral identity exactly by construction.
     """
     grid = u0.grid
     cfg = _rounded_config(config, t_end)
@@ -223,6 +224,7 @@ def solve_mollified(config: NoiseConfig, u0: FourierField,
         base = decay * w[n] + half * g_prev
         z = base + half * g_prev        # frozen-forcing predictor
         scale = max(1.0, float(np.max(np.abs(z))))
+        gap = math.inf
         for it in range(max_step_iter):
             z_new = base + half * transport(z + yn)
             gap = float(np.max(np.abs(z_new - z)))
@@ -232,6 +234,11 @@ def solve_mollified(config: NoiseConfig, u0: FourierField,
             if not math.isfinite(gap) or gap > 1e6 * scale:
                 raise BlowupDetected(
                     f"implicit step diverged at t = {times[n + 1]:.6g}")
+        else:
+            raise NoContraction(
+                f"implicit step at t = {times[n + 1]:.6g} not converged "
+                f"after {max_step_iter} iterations (last gap {gap:.3g}, "
+                f"tolerance {step_tol * scale:.3g})")
         worst = max(worst, it + 1)
         w[n + 1] = z
         g_prev = transport(z + yn)

@@ -9,9 +9,12 @@ negative modes are implied by conjugate symmetry.  With the convention
 every stored field is exactly real-valued and mean-zero by construction.
 
 All linear operators are diagonal Fourier multipliers.  Products are
-computed on an oversampled physical grid so the retained modes are exact
-(no aliasing); the mean and above-cutoff content generated by a product
-are discarded and reported.
+computed on a physical grid sized to the factors' bands: factors with
+ka and kb stored modes produce modes up to ka + kb, and the grid holds
+just enough points that every retained mode comes out free of aliasing
+(the 3/2 rule for two full-band factors).  The mean and above-cutoff
+content of a product are discarded; on request they are reported, read
+on a grid that resolves the whole product.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .errors import FormatError, GridMismatch, NegativeTime
 
@@ -148,16 +152,31 @@ def product_modes(a: np.ndarray, b: np.ndarray, n_modes: int,
                   with_report: bool = False):
     """Dealiased product of two mode arrays (batched over leading axes).
 
-    The physical grid has 4(N+1) points, so every mode up to 2N of the
-    product is represented exactly; the result keeps modes 1..N.  With
-    ``with_report`` also returns the discarded (mean + above-cutoff)
-    energy, |c0|^2 + 2 sum_{k>N} |c_k|^2, per batch element.
+    The factors carry modes 1..ka and 1..kb (their last axes), so the
+    product carries modes up to ka + kb and the result keeps modes
+    1..N with top = min(N, ka + kb) of them possibly nonzero.  The
+    physical grid has the next fast length of
+    max(ka + kb + top + 1, 2 max(ka, kb) + 1) points: aliases of the
+    highest product modes then land above the kept ones, which is the
+    3/2 rule for two full-band factors.  With ``with_report`` the grid
+    has at least 2(ka + kb) + 1 points, so every product mode is exact,
+    and the discarded (mean + above-cutoff) energy
+    |c0|^2 + 2 sum_{k>N} |c_k|^2 is also returned per batch element.
     """
-    m = 4 * (n_modes + 1)
+    ka, kb = a.shape[-1], b.shape[-1]
+    top = min(n_modes, ka + kb)
+    need = max(ka + kb + top + 1, 2 * max(ka, kb) + 1)
+    if with_report:
+        need = max(need, 2 * (ka + kb) + 1)
+    m = next_fast_len(need, real=True)
     pa = modes_to_physical(a, m)
     pb = modes_to_physical(b, m)
     spec = np.fft.rfft(pa * pb, axis=-1) / m
-    out = np.ascontiguousarray(spec[..., 1:n_modes + 1])
+    if top == n_modes:
+        out = np.ascontiguousarray(spec[..., 1:top + 1])
+    else:
+        out = np.zeros(spec.shape[:-1] + (n_modes,), dtype=np.complex128)
+        out[..., :top] = spec[..., 1:top + 1]
     if not with_report:
         return out
     zero = np.abs(spec[..., 0]) ** 2

@@ -9,9 +9,11 @@ from click.testing import CliRunner
 
 from gfsb.cli import main
 from gfsb.errors import IncompleteManifest, TaskFailure, ValidationError
+from gfsb.kernels import exp_cross_integral
 from gfsb.harness import (
     ExperimentSpec,
     RunManifest,
+    _cross_quadrature,
     _parse_seed_list,
     emit_plot_data,
     load_spec,
@@ -98,6 +100,14 @@ def test_thread_count_env(monkeypatch):
 
 
 # ---------------------------------------------------------------- running
+
+
+def test_cross_quadrature_witness_across_the_kink_corner():
+    """The second triple of seed 20013 puts the kink corner u = delta
+    where an unsplit outer integral misses the closed form by 3.7e-6."""
+    a, b, delta = 0.6250547022243647, 0.34933065455156775, 1.0037050979491693
+    assert abs(_cross_quadrature(a, b, delta)
+               - exp_cross_integral(a, b, delta)) < 1e-10
 
 
 def test_run_writes_artifacts_and_summary(tmp_path):

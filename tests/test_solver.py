@@ -101,6 +101,18 @@ def test_transport_pairing_stays_at_roundoff():
     assert nonlinearity_audit(traj)["max_abs"] < 1e-10
 
 
+def test_unconverged_implicit_step_raises():
+    """One fixed-point iteration cannot meet the step tolerance; the
+    step must fail loudly instead of being accepted."""
+    grid = Grid(n_modes=16, gamma=2.0)
+    cfg = NoiseConfig(gamma=2.0, epsilon=0.0, seed=0, dt=1e-3, t_end=0.01,
+                      noise_scale=0.0)
+    u0 = _u0(grid, (0.08 - 0.02j, 0.03 + 0.01j))
+    with pytest.raises(NoContraction, match="t = 0.001"):
+        solve_mollified(cfg, u0, max_step_iter=1)
+    assert solve_mollified(cfg, u0).meta["max_step_iterations"] > 1
+
+
 # ----------------------------------------------------- slabs and ansatz
 
 
