@@ -284,6 +284,7 @@ class NormRecord:
 
 
 _OVERSAMPLE = 8
+_SUP_ROWS = 16
 
 
 def sobolev_norm(f: FourierField, s: float) -> float:
@@ -293,11 +294,19 @@ def sobolev_norm(f: FourierField, s: float) -> float:
 
 def _block_sup_norms(modes: np.ndarray, n_modes: int) -> np.ndarray:
     """L-infinity of every block, batched over leading axes; the sup is
-    read on an 8x-oversampled physical grid."""
+    read on an 8x-oversampled physical grid.  Rows go through
+    _SUP_ROWS at a time, so the (rows, J+2, 8N) samples stay small
+    enough for the allocator to reuse their memory from chunk to chunk
+    rather than fault in fresh pages for one large temporary."""
     _, w = _partition_weights(n_modes)
-    blocks = modes[..., None, :] * w  # (..., J+2, N)
-    vals = modes_to_physical(blocks, _OVERSAMPLE * n_modes)
-    return np.max(np.abs(vals), axis=-1)
+    lead = modes.shape[:-1]
+    rows = modes.reshape(-1, modes.shape[-1])
+    out = np.empty((rows.shape[0], w.shape[0]))
+    for i in range(0, rows.shape[0], _SUP_ROWS):
+        blocks = rows[i:i + _SUP_ROWS, None, :] * w  # (rows, J+2, N)
+        vals = modes_to_physical(blocks, _OVERSAMPLE * n_modes)
+        out[i:i + _SUP_ROWS] = np.max(np.abs(vals), axis=-1)
+    return out.reshape(lead + (w.shape[0],))
 
 
 def holder_norm(f: FourierField, s: float) -> float:

@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 from scipy import integrate
 
-from . import __version__
 from .besov import (
     DyadicPartition,
     TimeMollifierBank,
@@ -301,9 +300,12 @@ class ExperimentSpec:
         return out
 
     def spec_hash(self) -> str:
+        """Hash of what the study runs: a value written out equal to its
+        default hashes the same as the default left implicit."""
+        params = self.resolved_parameters()
         payload = json.dumps(
             {"name": self.name, "kind": self.kind,
-             "parameters": {k: str(v) for k, v in sorted(self.parameters.items())},
+             "parameters": {k: repr(v) for k, v in sorted(params.items())},
              "seeds": list(self.seeds)},
             sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()
@@ -338,6 +340,20 @@ def load_spec(path, output_dir=None) -> ExperimentSpec:
 
 
 # ------------------------------------------------------------- manifests
+
+
+_CODE_VERSION = None
+
+
+def code_version() -> str:
+    """sha256 over the package's module sources, read once per process."""
+    global _CODE_VERSION
+    if _CODE_VERSION is None:
+        digest = hashlib.sha256()
+        for path in sorted(Path(__file__).parent.glob("*.py")):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        _CODE_VERSION = digest.hexdigest()
+    return _CODE_VERSION
 
 
 @dataclass
@@ -420,7 +436,8 @@ def run(spec: ExperimentSpec) -> RunManifest:
     runner = _RUNNERS[spec.kind]
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(spec_hash=spec.spec_hash(), code_version=__version__)
+    manifest = RunManifest(spec_hash=spec.spec_hash(),
+                           code_version=code_version())
     start = time.perf_counter()
     try:
         result = runner(params, spec.seeds)
@@ -1154,7 +1171,7 @@ def _appendix_identities(params):
                        "max |closed form - adaptive quadrature| over triples"),
             _assertion("bound-families", total_violations == 0,
                        total_violations, 0,
-                       "no bound family violated by its quadrature witnesses"),
+                       "no bound family violated by its witnesses"),
         ],
         "tables": {"closed_form.csv":
                    (("a", "b", "delta", "closed", "quadrature", "abs_err"),

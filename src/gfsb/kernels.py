@@ -226,20 +226,29 @@ def _require_positive(**rates):
             raise DomainError(f"rate {name} must be positive, got {val}")
 
 
-def five_exp_quadrature(a, b, c, d, e, delta, tol=1e-10) -> float:
-    """int_{-inf}^t int_{-inf}^{t'} exp(-a|s-s'| - b(t-s) - c(t'-s')
-    - d|t'-s| - e|t-s'|) ds ds' as a function of delta = t - t'."""
+def five_exp_quadrature(a, b, c, d, e, delta) -> float:
+    """H(delta) = int_{-inf}^t int_{-inf}^{t'} exp(-a|s-s'| - b(t-s)
+    - c(t'-s') - d|t'-s| - e|t-s'|) ds ds' with delta = t - t'.
+
+    The exponent is piecewise linear, so H is exact in closed form.
+    For delta >= 0, with p = b+d, q = c+e, A = a+d+e and B = b+e,
+
+        H = delta e^{-min(A,B) delta} phi1(-|A-B| delta) / (a+c+e)
+            + e^{-B delta} (p+q+2a) / ((p+a)(q+a)(p+q)),
+
+    where the first term is (e^{-B delta} - e^{-A delta})/(A-B) written
+    so that it neither overflows nor loses the removable pole at A = B.
+    Negative delta swaps the roles of (b, d) and (c, e).  The oracle is
+    the kink-split dblquad in tests/test_kernels.py.
+    """
     if delta < 0:
-        return five_exp_quadrature(a, c, b, e, d, -delta, tol)
-
-    def integrand(v, u):
-        return math.exp(-a * abs(delta - u + v) - b * u - c * v
-                        - d * abs(u - delta) - e * (delta + v))
-
-    val, _ = integrate.nquad(integrand, [(0, np.inf), (0, np.inf)],
-                             opts={"limit": 200, "epsabs": tol,
-                                   "epsrel": tol})
-    return val
+        return five_exp_quadrature(a, c, b, e, d, -delta)
+    p, q = b + d, c + e
+    A, B = a + d + e, b + e
+    ramp = delta * math.exp(-min(A, B) * delta) * _phi1(-abs(A - B) * delta)
+    return (ramp / (a + c + e)
+            + math.exp(-B * delta) * (p + q + 2.0 * a)
+            / ((p + a) * (q + a) * (p + q)))
 
 
 def five_exp_bound(a, b, c, d, e, delta) -> BoundCheck:

@@ -46,7 +46,7 @@ def test_c01_decomposition_identities(out_root):
 
 
 def test_c02_kernel_identities_and_bounds(out_root):
-    _run_criterion(out_root, "c02-kernel-identities", 30,
+    _run_criterion(out_root, "c02-kernel-identities", 5,
                    {"cross-integral-closed-form", "bound-families"})
 
 

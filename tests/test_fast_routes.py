@@ -1,20 +1,25 @@
-"""Band-sized products and horizon-cut time averages against the full routes.
+"""Band-sized products, horizon-cut time averages and row-chunked block
+sups against the full routes.
 
 The product kernel sizes its grid from the factors' bands, the
-paraproduct masks are cut to their bands, and the time average cuts its
-lag kernel to the horizon.  Each reference below is the straightforward
-route those replace: every product on the 4(N+1)-point grid, every mask
-over all N modes, and the lag kernel at full length.  The fast routes
-must agree with them to roundoff on random inputs.
+paraproduct masks are cut to their bands, the time average cuts its
+lag kernel to the horizon, and the block sup norms run over row chunks.
+Each reference below is the straightforward route those replace: every
+product on the 4(N+1)-point grid, every mask over all N modes, the lag
+kernel at full length, and every row's block samples at once.  The fast
+routes must agree with them to roundoff on random inputs; the block
+sups must agree bit for bit.
 """
 
 import numpy as np
 import pytest
 
 from gfsb.besov import (
+    _OVERSAMPLE,
     DyadicPartition,
     TimeMollifierBank,
     _bilinear,
+    _block_sup_norms,
     _para_masks,
     _partition_weights,
     modified_paraproduct,
@@ -78,6 +83,12 @@ def full_modified_paraproduct(f, g, bank, n_modes):
         left = untruncated_smooth(bank, f * lo, j)
         acc = acc + full_grid_product(left, g * blk, n_modes)
     return acc
+
+
+def unchunked_block_sups(modes, n_modes):
+    _, w = _partition_weights(n_modes)
+    vals = modes_to_physical(modes[..., None, :] * w, _OVERSAMPLE * n_modes)
+    return np.max(np.abs(vals), axis=-1)
 
 
 def random_modes(rng, shape):
@@ -197,3 +208,15 @@ def test_modified_paraproduct_matches_full_route(n_modes, rows):
     out = modified_paraproduct(Trajectory(times, f, grid),
                                Trajectory(times, g, grid), bank)
     assert_close(out.modes, full_modified_paraproduct(f, g, bank, n_modes))
+
+
+@pytest.mark.parametrize("n_modes,batch", [(7, ()), (128, (51,)),
+                                           (256, (1001,)), (16, (3, 17)),
+                                           (16, (0,))])
+def test_block_sups_match_unchunked_route(n_modes, batch):
+    rng = np.random.default_rng(7 * n_modes + len(batch))
+    modes = random_modes(rng, batch + (n_modes,))
+    out = _block_sup_norms(modes, n_modes)
+    ref = unchunked_block_sups(modes, n_modes)
+    assert out.shape == ref.shape and out.dtype == ref.dtype
+    assert np.array_equal(out, ref)

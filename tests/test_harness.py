@@ -15,6 +15,7 @@ from gfsb.harness import (
     RunManifest,
     _cross_quadrature,
     _parse_seed_list,
+    code_version,
     emit_plot_data,
     load_spec,
     run,
@@ -65,6 +66,32 @@ def test_load_spec_round_trip(tmp_path):
     # hash depends only on declared content, not on the output location
     moved = load_spec(path, output_dir=tmp_path / "elsewhere")
     assert moved.spec_hash() == spec.spec_hash()
+
+
+def test_spec_hash_reads_resolved_parameters(tmp_path):
+    def spec(**params):
+        return ExperimentSpec(name="a", kind="appendix-integrals",
+                              parameters=params, seeds=(0,),
+                              output_dir=tmp_path)
+
+    implicit = spec(family="identities")
+    written = spec(family="identities", triples="50", tolerance="1e-08",
+                   exponents="0.6, 0.5")
+    assert written.spec_hash() == implicit.spec_hash()
+    assert spec(family="identities", triples="49").spec_hash() \
+        != implicit.spec_hash()
+
+
+def test_manifest_records_source_digest(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src" / "gfsb"
+    digest = hashlib.sha256()
+    for path in sorted(src.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert code_version() == digest.hexdigest()
+    assert code_version() is code_version()     # computed once
+    manifest = run(load_spec(_write_spec(tmp_path,
+                                         AUDIT_SPEC.format(out=tmp_path))))
+    assert manifest.code_version == digest.hexdigest()
 
 
 def test_spec_validation_rejects_bad_input(tmp_path):

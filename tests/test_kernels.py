@@ -251,10 +251,63 @@ def test_five_exp_bound_holds_on_scan():
         assert ch.holds and ch.witness > 0
 
 
+def _split_five_exp(a, b, c, d, e, delta):
+    """Oracle for the five-rate integral: dblquad over the quarter plane
+    u = t - s, v = t' - s', split where an absolute value changes sign
+    so every piece is the exponential of a linear function.  For
+    delta >= 0 the kinks are u = delta and v = u - delta; for delta < 0
+    they are v = -delta and u = v + delta."""
+    def f(v, u):
+        return math.exp(-a * abs(delta - u + v) - b * u - c * v
+                        - d * abs(u - delta) - e * abs(delta + v))
+
+    opts = {"epsabs": 0.0, "epsrel": 1e-13}
+    if delta >= 0:
+        pieces = (
+            integrate.dblquad(f, 0.0, delta, 0.0, np.inf, **opts),
+            integrate.dblquad(f, delta, np.inf, 0.0,
+                              lambda u: u - delta, **opts),
+            integrate.dblquad(f, delta, np.inf, lambda u: u - delta,
+                              np.inf, **opts))
+    else:
+        def g(u, v):
+            return f(v, u)
+
+        pieces = (
+            integrate.dblquad(g, 0.0, -delta, 0.0, np.inf, **opts),
+            integrate.dblquad(g, -delta, np.inf, 0.0,
+                              lambda v: v + delta, **opts),
+            integrate.dblquad(g, -delta, np.inf, lambda v: v + delta,
+                              np.inf, **opts))
+    return sum(val for val, _ in pieces)
+
+
+def _five_exp_draws(n):
+    rng = np.random.default_rng(3)
+    return [(tuple(np.exp(rng.uniform(-1.5, 2.0, size=5))),
+             rng.uniform(-2.0, 2.0)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("rates,delta", [
+    ((1.0, 1.5, 2.0, 0.5, 0.7), -0.3),
+    ((1.0, 1.5, 2.0, 0.5, 0.7), 0.0),
+    ((1.0, 1.5, 2.0, 0.5, 0.7), 1e-12),
+    # A = a+d+e equals B = b+e: the removable pole of the ramp term
+    ((1.0, 1.5, 2.0, 0.5, 0.3), 0.9),
+    # (A - B) delta = 850: e^{(A-B) delta} is past the float range
+    ((100.0, 1.0, 2.0, 1.0, 0.5), 8.5),
+] + _five_exp_draws(8))
+def test_five_exp_quadrature_matches_split_oracle(rates, delta):
+    val = five_exp_quadrature(*rates, delta)
+    assert math.isfinite(val) and val > 0
+    assert val == pytest.approx(_split_five_exp(*rates, delta),
+                                rel=1e-12, abs=0.0)
+
+
 def test_five_exp_quadrature_symmetry():
     val = five_exp_quadrature(1.0, 2.0, 3.0, 0.5, 0.7, 0.4)
     swapped = five_exp_quadrature(1.0, 3.0, 2.0, 0.7, 0.5, -0.4)
-    assert val == pytest.approx(swapped, rel=1e-6)
+    assert val == pytest.approx(swapped, rel=1e-14)
 
 
 def test_segment_exp_bound_exact_witness():
