@@ -1,4 +1,4 @@
-"""Littlewood-Paley blocks, Bony paraproducts, and norm estimators.
+"""Littlewood-Paley blocks, Bony paraproducts, and the two norm helpers.
 
 The dyadic partition lives in log2 of the wavenumber.  Block j >= 0 is a
 plateau bump centred at j + 1/2 (plateau half-width 1/4, support
@@ -12,6 +12,12 @@ The three Bony pieces of a product f*g split over block pairs (i, j):
 The time-smoothed variant replaces the low-pass factor with a causal
 moving average whose memory shrinks like 2^(-gamma*i) with the block
 index, mirroring the dissipation time-scale of that frequency band.
+
+The solvers' contraction norm on C^s cap H^s is the max of two row-wise
+reads, both kept here so that every caller shares one definition:
+``sobolev_norms`` gives the H^s norm of each row of a mode array, and
+``holder_norms`` gives max_j 2^(js) times the block sup-norm, each
+block read on an 8x-oversampled physical grid.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .errors import BlockOutOfRange, GridMismatch, InsufficientBlocks
+from .errors import BlockOutOfRange, GridMismatch
 from .spectral import (
     FourierField,
     Grid,
@@ -267,29 +273,15 @@ def modified_paraproduct(f: Trajectory, g: Trajectory,
 
 # ---------------------------------------------------------------- norms
 
-
-@dataclass(frozen=True)
-class NormRecord:
-    holder_s: float
-    sobolev_s: float
-    value_holder: float
-    value_sobolev: float
-    time_holder_exponent: float = 0.0
-    value_time: float = 0.0
-
-    @property
-    def value_w(self) -> float:
-        """Norm of the intersection space: max of the two spatial reads."""
-        return max(self.value_holder, self.value_sobolev)
-
-
 _OVERSAMPLE = 8
 _SUP_ROWS = 16
 
 
-def sobolev_norm(f: FourierField, s: float) -> float:
-    k = f.grid.wavenumbers
-    return float(np.sqrt(2.0 * np.sum(k ** (2 * s) * np.abs(f.modes) ** 2)))
+def sobolev_norms(modes: np.ndarray, grid: Grid, s: float) -> np.ndarray:
+    """H^s norm sqrt(2 sum_k k^(2s) |c_k|^2) of every row of ``modes``;
+    the leading axes are kept."""
+    k = grid.wavenumbers
+    return np.sqrt(2.0 * np.sum(k ** (2 * s) * np.abs(modes) ** 2, axis=-1))
 
 
 def _block_sup_norms(modes: np.ndarray, n_modes: int) -> np.ndarray:
@@ -309,111 +301,9 @@ def _block_sup_norms(modes: np.ndarray, n_modes: int) -> np.ndarray:
     return out.reshape(lead + (w.shape[0],))
 
 
-def holder_norm(f: FourierField, s: float) -> float:
-    """Besov sup-type norm: sup_j 2^(js) * block sup-norm."""
-    part = DyadicPartition(f.grid.n_modes)
-    sups = _block_sup_norms(f.modes, f.grid.n_modes)
-    j = np.arange(-1, part.j_max + 1, dtype=float)
-    return float(np.max(2.0 ** (j * s) * sups))
-
-
-def estimate_norms(f: FourierField, s: float) -> NormRecord:
-    return NormRecord(holder_s=s, sobolev_s=s,
-                      value_holder=holder_norm(f, s),
-                      value_sobolev=sobolev_norm(f, s))
-
-
-_MAX_PAIR_NODES = 1024
-
-
-def estimate_space_time(traj: Trajectory, alpha: float,
-                        gamma: float) -> NormRecord:
-    """Sup-in-time spatial norms plus a time-Hoelder seminorm.
-
-    The spatial part reads max(holder, sobolev) at exponent alpha over
-    every node.  The temporal part measures increments in the flat
-    (s = 0) norms at exponent alpha/gamma: the sobolev side over all
-    node pairs separated by at least two steps (subsampled to at most
-    1024 nodes on long trajectories), the sup-norm side over a geometric
-    ladder of separations.
-    """
-    n = traj.grid.n_modes
-    value_sob = float(np.max(np.sqrt(
-        2.0 * np.sum((traj.grid.wavenumbers ** (2 * alpha))[None, :]
-                     * np.abs(traj.modes) ** 2, axis=-1))))
-    part = DyadicPartition(n)
-    j = np.arange(-1, part.j_max + 1, dtype=float)
-    sups = _block_sup_norms(traj.modes, n)  # (T, J+2)
-    value_hold = float(np.max(2.0 ** (j * alpha)[None, :] * sups))
-
-    a_t = alpha / gamma
-    times = traj.times
-    idx = np.arange(len(times))
-    if len(times) > _MAX_PAIR_NODES:
-        idx = np.unique(np.linspace(0, len(times) - 1,
-                                    _MAX_PAIR_NODES).astype(int))
-    m = traj.modes[idx]
-    t = times[idx]
-    gram = m @ m.conj().T
-    d = np.real(np.diag(gram))
-    sq = 2.0 * np.maximum(d[:, None] + d[None, :] - 2.0 * np.real(gram), 0.0)
-    gaps = np.abs(t[:, None] - t[None, :])
-    min_gap = 2.0 * np.min(np.diff(times))
-    mask = gaps >= min_gap - 1e-12 * min_gap
-    ratio_h0 = 0.0
-    if np.any(mask):
-        ratio_h0 = float(np.max(np.sqrt(sq[mask]) / gaps[mask] ** a_t))
-
-    ratio_c0 = 0.0
-    t_len = len(times)
-    gap = 2
-    while gap < t_len:
-        starts = np.arange(0, t_len - gap, max(1, (t_len - gap) // 48))
-        diff = traj.modes[starts + gap] - traj.modes[starts]
-        sup = np.max(np.abs(modes_to_physical(diff, _OVERSAMPLE * n)), axis=-1)
-        dt_gap = times[starts + gap] - times[starts]
-        ratio_c0 = max(ratio_c0, float(np.max(sup / dt_gap ** a_t)))
-        gap = max(gap + 1, int(gap * 1.6))
-
-    return NormRecord(holder_s=alpha, sobolev_s=alpha,
-                      value_holder=value_hold, value_sobolev=value_sob,
-                      time_holder_exponent=a_t,
-                      value_time=max(ratio_h0, ratio_c0))
-
-
-# ---------------------------------------------------------------- slope
-
-
-def regularity_slope_report(f: FourierField, j_range: tuple) -> dict:
-    part = DyadicPartition(f.grid.n_modes)
-    j_lo, j_hi = int(j_range[0]), int(j_range[1])
-    if j_lo < -1 or j_hi > part.j_max:
-        raise BlockOutOfRange(
-            f"range {j_range} outside -1..{part.j_max}")
-    if j_hi - j_lo + 1 < 4:
-        raise InsufficientBlocks("need at least 4 blocks for a slope fit")
-    sups = _block_sup_norms(f.modes, f.grid.n_modes)[j_lo + 1:j_hi + 2]
-    top = float(np.max(sups))
-    if top == 0.0:
-        return {"slope": 0.0, "exponent": 0.0, "saturated": True,
-                "blocks_used": 0}
-    floor = top * 1e-14
-    saturated = bool(np.any(sups < floor))
-    logs = np.log2(np.maximum(sups, floor))
-    js = np.arange(j_lo, j_hi + 1, dtype=float)
-    slope = float(np.polyfit(js, logs, 1)[0])
-    return {"slope": slope, "exponent": -slope, "saturated": saturated,
-            "blocks_used": int(np.sum(sups >= floor))}
-
-
-def regularity_slope(f: FourierField, j_range: tuple) -> float:
-    """Least-squares slope of log2 block sup-norms against block index;
-    minus the slope estimates the Hoelder exponent."""
-    return regularity_slope_report(f, j_range)["slope"]
-
-
-def block_profile(modes: np.ndarray, n_modes: int) -> np.ndarray:
-    """Mean block sup-norms over the leading axes (for slope fits against
-    sampled trajectories)."""
+def holder_norms(modes: np.ndarray, n_modes: int, s: float) -> np.ndarray:
+    """Besov sup-type norm max_j 2^(js) * (block j sup-norm) of every row
+    of ``modes``; the leading axes are kept."""
     sups = _block_sup_norms(modes, n_modes)
-    return sups.reshape(-1, sups.shape[-1]).mean(axis=0)
+    j = np.arange(-1, sups.shape[-1] - 1, dtype=float)
+    return np.max(2.0 ** (j * s) * sups, axis=-1)

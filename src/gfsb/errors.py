@@ -43,10 +43,6 @@ class TimeGridMismatch(GFSBError):
     """Trajectory pair with incompatible time grids."""
 
 
-class InsufficientBlocks(GFSBError):
-    """Too few dyadic blocks for a requested fit."""
-
-
 # --- noise engine ---
 
 class UnresolvedMollifier(GFSBError):

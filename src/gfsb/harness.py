@@ -25,6 +25,7 @@ import numpy as np
 from scipy import integrate
 
 from .besov import (
+    _SUP_ROWS,
     DyadicPartition,
     TimeMollifierBank,
     _partition_weights,
@@ -32,6 +33,7 @@ from .besov import (
     lp_block,
     modified_paraproduct,
     paraproduct_lower,
+    sobolev_norms,
 )
 from .construct import build_tree_family, duhamel_scan, bilinear_forcing
 from .errors import IncompleteManifest, TaskFailure, ValidationError
@@ -755,10 +757,11 @@ def _covariance_tree(params):
 # -------------------------------------------- study: regularity ladder
 
 
-def _band_window_sups(modes, n_modes, js, chunk=512):
+def _band_window_sups(modes, n_modes, js):
     """Sup over (time, space) of each dyadic block; every block is read
     on a uniform grid at 8x its own bandwidth (the grids nest, so the
-    relative oversampling is the same for every block)."""
+    relative oversampling is the same for every block).  Rows go through
+    _SUP_ROWS at a time, as in besov._block_sup_norms."""
     _, w = _partition_weights(n_modes)
     out = []
     for j in js:
@@ -766,8 +769,8 @@ def _band_window_sups(modes, n_modes, js, chunk=512):
         hi = int(np.nonzero(row)[0][-1]) + 1
         n_phys = 1 << max(4, int(np.ceil(np.log2(8 * hi))))
         best = 0.0
-        for i0 in range(0, modes.shape[0], chunk):
-            band = modes[i0:i0 + chunk, :hi] * row[:hi]
+        for i0 in range(0, modes.shape[0], _SUP_ROWS):
+            band = modes[i0:i0 + _SUP_ROWS, :hi] * row[:hi]
             best = max(best, float(np.max(np.abs(
                 modes_to_physical(band, n_phys)))))
         out.append(best)
@@ -893,9 +896,7 @@ def _run_eps_convergence(params, seeds):
 
 
 def _ct_norm(modes, grid, s):
-    weights = grid.wavenumbers ** (2 * s)
-    return float(np.max(np.sqrt(
-        2.0 * np.sum(weights[None, :] * np.abs(modes) ** 2, axis=-1))))
+    return float(np.max(sobolev_norms(modes, grid, s)))
 
 
 def _run_solver_consistency(params, seeds):

@@ -37,8 +37,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammaln
 
-from .besov import (NormRecord, TimeMollifierBank, _bilinear,
-                    _block_sup_norms, modified_paraproduct)
+from .besov import (_OVERSAMPLE, TimeMollifierBank, _bilinear,
+                    holder_norms, modified_paraproduct, sobolev_norms)
 from .construct import (DEFAULT_COUPLING, TreeTrajectory, bilinear_forcing,
                         build_tree_family, duhamel_scan, recenter)
 from .errors import (BlowupDetected, ConfigMismatch, DomainError,
@@ -56,7 +56,6 @@ DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 50
 DEFAULT_CEILING = 1e6
 
-_OVERSAMPLE = 8
 _MIN_SLAB_STEPS = 8
 _MAX_SLAB_TIME = 0.1
 _NORM_NODES = 64          # node budget for composite-norm estimates
@@ -67,38 +66,22 @@ _NORM_NODES = 64          # node budget for composite-norm estimates
 
 def _w_values(modes: np.ndarray, grid: Grid, s: float) -> np.ndarray:
     """Per-node intersection norm max(holder, sobolev) at exponent s."""
-    k = grid.wavenumbers
-    sob = np.sqrt(2.0 * np.sum(k ** (2 * s) * np.abs(modes) ** 2, axis=-1))
-    sups = _block_sup_norms(modes, grid.n_modes)
-    j = np.arange(-1, sups.shape[-1] - 1, dtype=float)
-    hold = np.max(2.0 ** (j * s) * sups, axis=-1)
-    return np.maximum(sob, hold)
+    return np.maximum(sobolev_norms(modes, grid, s),
+                      holder_norms(modes, grid.n_modes, s))
 
 
 def _w_sup(modes: np.ndarray, grid: Grid, s: float) -> float:
     return float(np.max(_w_values(modes, grid, s)))
 
 
-def _field_w(f: FourierField, s: float) -> float:
-    return _w_sup(f.modes[None, :], f.grid, s)
+def _norm_nodes(modes: np.ndarray) -> np.ndarray:
+    """Every step-th node, keeping at most _NORM_NODES of them."""
+    return modes[::max(1, -(-len(modes) // _NORM_NODES))]
 
 
 def _freeflow(init: np.ndarray, rates: np.ndarray,
               rel_times: np.ndarray) -> np.ndarray:
     return np.exp(-np.outer(rel_times, rates)) * init
-
-
-def _norm_record(modes: np.ndarray, grid: Grid, s: float) -> NormRecord:
-    step = max(1, -(-len(modes) // _NORM_NODES))
-    sub = modes[::step]
-    k = grid.wavenumbers
-    sob = float(np.max(np.sqrt(
-        2.0 * np.sum(k ** (2 * s) * np.abs(sub) ** 2, axis=-1))))
-    sups = _block_sup_norms(sub, grid.n_modes)
-    j = np.arange(-1, sups.shape[-1] - 1, dtype=float)
-    hold = float(np.max(2.0 ** (j * s) * sups))
-    return NormRecord(holder_s=s, sobolev_s=s,
-                      value_holder=hold, value_sobolev=sob)
 
 
 # ---------------------------------------------------------- time bookkeeping
@@ -283,7 +266,6 @@ class EnhancedData:
 
     trees: dict
     params: RegularityParams
-    norm_records: dict
     norm: float
 
     @classmethod
@@ -316,10 +298,9 @@ class EnhancedData:
                             f"product closure violated: ({ka!r}, {kb!r}) "
                             f"needs {need!r}")
         grid = ref.trajectory.grid
-        records = {k: _norm_record(tree.modes, grid, rs[k])
-                   for k, tree in keyed.items()}
-        norm = max(rec.value_w for rec in records.values())
-        return cls(dict(keyed), params, records, norm)
+        norm = max(_w_sup(_norm_nodes(tree.modes), grid, rs[k])
+                   for k, tree in keyed.items())
+        return cls(dict(keyed), params, norm)
 
     @property
     def grid(self) -> Grid:
@@ -371,7 +352,7 @@ def enhanced_difference(a: EnhancedData, b: EnhancedData) -> float:
     for key, tree in a.trees.items():
         r = regularity(parse_symbol(key), a.params)
         diff = tree.modes - b.trees[key].modes
-        out = max(out, _norm_record(diff, grid, r).value_w)
+        out = max(out, _w_sup(_norm_nodes(diff), grid, r))
     return out
 
 
@@ -600,8 +581,6 @@ class OperatorBundle:
     cubic_resonance: Callable | None = None
     remainder_resonance: Callable | None = None
     paraproduct_closure: Callable | None = None
-    sharp_coupling: Callable | None = None
-    drift_field: np.ndarray | None = None
     closure_route: str = "exact"
 
     def __post_init__(self):
@@ -647,11 +626,6 @@ def default_bundle(closure_route: str = "exact") -> OperatorBundle:
         remainder_resonance=_default_remainder_resonance,
         paraproduct_closure=_default_paraproduct_closure,
         closure_route=closure_route)
-
-
-def zero_bundle() -> OperatorBundle:
-    """All closures absent; only the classical terms drive the sharp part."""
-    return OperatorBundle(closure_route="none")
 
 
 @dataclass(frozen=True)
@@ -778,12 +752,9 @@ def solve_paracontrolled(data: EnhancedData, coefficients, u0: FourierField,
                                            grid.n_modes, "lower")))
                     for term in (bundle.cubic_resonance,
                                  bundle.remainder_resonance,
-                                 bundle.paraproduct_closure,
-                                 bundle.sharp_coupling):
+                                 bundle.paraproduct_closure):
                         if term is not None:
                             rhs = rhs + term(ctx)
-                    if bundle.drift_field is not None:
-                        rhs = rhs + prime_new * bundle.drift_field
                     if bundle.closure_route == "finite-difference":
                         rhs = rhs - (np.gradient(para, dt, axis=0)
                                      + rates * para)
@@ -946,7 +917,7 @@ def dependence_ladder(data: EnhancedData, u0: FourierField,
         seed_modes = np.zeros(grid.n_modes, dtype=np.complex128)
         seed_modes[0] = 1.0
         direction = FourierField(seed_modes, grid)
-    dir_norm = _field_w(direction, s)
+    dir_norm = _w_sup(direction.modes[None, :], direction.grid, s)
     c = _as_map(coefficients)
     base = solve_subcritical(data, c, u0, t_end, tol,
                              coupling=coupling, s=s)
@@ -1027,11 +998,9 @@ def epsilon_convergence_study(configs, seeds, u0: FourierField,
         if dataclasses.replace(head, epsilon=cfg.epsilon) != cfg:
             raise ConfigMismatch("ladder configs may differ only in epsilon")
     grid = u0.grid
-    k_pow = grid.wavenumbers ** (2 * exponent)
 
     def ct_norm(diff):
-        return float(np.max(np.sqrt(
-            2.0 * np.sum(k_pow * np.abs(diff) ** 2, axis=-1))))
+        return float(np.max(sobolev_norms(diff, grid, exponent)))
 
     tree_keys = (GENERATOR_KEY, "lr", "rLlr")
     sol_diffs = np.zeros((len(seeds), len(configs) - 1))

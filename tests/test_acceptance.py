@@ -1,10 +1,13 @@
 """Acceptance gate: every shipped study runs green within its budget.
 
 Each test loads one spec from experiments/, executes it end to end,
-and checks three things: the study's assertions all passed, the
-assertion set covers what the criterion promises, and the wall time
-stays under the stated ceiling.  One pass/fail line per criterion.
+and checks four things: the study's assertions all passed, the
+assertion set covers what the criterion promises, every assertion value
+matches experiments/baseline_values.json within max(1e-12, 1e-9*|ref|),
+and the wall time stays under the stated ceiling.  One pass/fail line
+per criterion.
 """
+import json
 import time
 from pathlib import Path
 
@@ -15,6 +18,23 @@ from gfsb.harness import load_spec, run
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
+BASELINE = json.loads((EXPERIMENTS / "baseline_values.json").read_text())
+
+
+def _baseline_drift(stem, assertions):
+    """Names missing from either side, and values off their baseline by
+    more than max(1e-12, 1e-9*|ref|)."""
+    ref = BASELINE[stem]
+    got = {a["name"]: a["value"] for a in assertions}
+    drift = [f"{name}: missing" for name in sorted(set(ref) - set(got))]
+    drift += [f"{name}: not in the baseline"
+              for name in sorted(set(got) - set(ref))]
+    for name in sorted(set(ref) & set(got)):
+        want, value = ref[name], got[name]
+        if value != want and not abs(value - want) <= max(
+                1e-12, 1e-9 * abs(want)):
+            drift.append(f"{name}: {value!r} against {want!r}")
+    return drift
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +56,8 @@ def _run_criterion(out_root, stem, budget_s, required):
         f"study is missing expected checks: "
         f"{required - set(manifest.statuses)}")
     assert not failed, f"failed assertions: {failed}"
+    drift = _baseline_drift(stem, manifest.assertions)
+    assert not drift, f"values off the baseline: {drift}"
     assert elapsed < budget_s, f"{elapsed:.1f}s exceeded {budget_s:.0f}s"
     return manifest
 

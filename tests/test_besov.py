@@ -1,4 +1,4 @@
-"""Dyadic blocks, paraproducts, time-smoothed paraproduct, norm estimators."""
+"""Dyadic blocks, paraproducts, time-smoothed paraproduct, norm helpers."""
 
 import math
 
@@ -9,29 +9,19 @@ from hypothesis import strategies as st
 
 from gfsb.besov import (
     DyadicPartition,
-    NormRecord,
     TimeMollifierBank,
-    block_profile,
+    _block_sup_norms,
     bony_decomposition,
-    estimate_norms,
-    estimate_space_time,
-    holder_norm,
+    holder_norms,
     lowpass,
     lp_block,
     modified_paraproduct,
     paraproduct_lower,
     paraproduct_upper,
-    regularity_slope,
-    regularity_slope_report,
     resonant,
-    sobolev_norm,
+    sobolev_norms,
 )
-from gfsb.errors import (
-    BlockOutOfRange,
-    GridMismatch,
-    InsufficientBlocks,
-    TimeGridMismatch,
-)
+from gfsb.errors import BlockOutOfRange, GridMismatch, TimeGridMismatch
 from gfsb.spectral import FourierField, Grid, pointwise_product, semigroup
 from gfsb.trajectory import Trajectory
 
@@ -163,8 +153,9 @@ def test_lower_paraproduct_sobolev_bound():
         r = np.random.default_rng(1000 + i)
         a = FourierField.random(grid, r)
         b = FourierField.random(grid, r)
-        num = sobolev_norm(paraproduct_lower(a, b), s)
-        den = np.abs(a.to_physical(512)).max() * sobolev_norm(b, s)
+        num = sobolev_norms(paraproduct_lower(a, b).modes, grid, s)
+        den = np.abs(a.to_physical(512)).max() * sobolev_norms(b.modes,
+                                                               grid, s)
         worst = max(worst, num / den)
     assert worst < 0.5
 
@@ -287,114 +278,78 @@ def test_commutator_shrinks_under_time_refinement():
 # ----------------------------------------------------------------- norms
 
 
+def loop_sobolev(modes, s):
+    """sqrt(2 sum_k k^(2s) |c_k|^2), one mode at a time."""
+    total = 0.0
+    for k, c in enumerate(modes, start=1):
+        total += (k ** s * abs(c)) ** 2
+    return math.sqrt(2.0 * total)
+
+
+def lp_block_sups(modes, grid):
+    """Sup of every Littlewood-Paley block, read on the 8N-point grid."""
+    f = FourierField(modes, grid)
+    part = DyadicPartition(grid.n_modes)
+    return np.array([np.abs(lp_block(f, j).to_physical(8 * grid.n_modes)).max()
+                     for j in range(-1, part.j_max + 1)])
+
+
+@pytest.mark.parametrize("s", [-0.3, 0.0, 0.5, 1.2])
+def test_sobolev_norms_match_mode_loop(s):
+    modes = np.random.default_rng(4).standard_normal((3, 5, 16, 2)) @ [1, 1j]
+    out = sobolev_norms(modes, G16, s)
+    assert out.shape == (3, 5)
+    for idx in np.ndindex(3, 5):
+        assert out[idx] == pytest.approx(loop_sobolev(modes[idx], s),
+                                         rel=1e-13)
+
+
+@pytest.mark.parametrize("s", [-0.3, 0.5])
+def test_block_sups_and_holder_match_lp_blocks(s):
+    modes = np.random.default_rng(11).standard_normal((4, 16, 2)) @ [1, 1j]
+    sups = _block_sup_norms(modes, 16)
+    hold = holder_norms(modes, 16, s)
+    assert hold.shape == (4,)
+    for row, row_sups, row_hold in zip(modes, sups, hold):
+        ref = lp_block_sups(row, G16)
+        np.testing.assert_allclose(row_sups, ref, rtol=1e-12)
+        j = np.arange(-1, len(ref) - 1)
+        assert row_hold == pytest.approx(np.max(2.0 ** (j * s) * ref),
+                                         rel=1e-12)
+
+
 def test_h0_matches_parseval():
     f = rand_field(G16, seed=9)
-    assert sobolev_norm(f, 0.0) == pytest.approx(f.l2(), rel=1e-12)
-    assert sobolev_norm(f, 0.0) == pytest.approx(
+    assert sobolev_norms(f.modes, G16, 0.0) == pytest.approx(f.l2(), rel=1e-12)
+    assert sobolev_norms(f.modes, G16, 0.0) == pytest.approx(
         math.sqrt(2.0) * np.linalg.norm(f.modes), rel=1e-12)
 
 
 def test_pure_mode_sobolev_closed_form():
     f = FourierField.pure_mode(G16, 5, 0.3 - 0.4j)  # |c| = 0.5
     s = 0.7
-    assert sobolev_norm(f, s) == pytest.approx(
+    assert sobolev_norms(f.modes, G16, s) == pytest.approx(
         5.0 ** s * 0.5 * math.sqrt(2.0), rel=1e-14)
 
 
 def test_plateau_mode_holder_closed_form():
     # mode 12 sits wholly in block 3: C^s = 2^{3s} * sup|2 cos|
     f = FourierField.pure_mode(G16, 12, 0.5)
-    val = holder_norm(f, 0.5)
+    val = holder_norms(f.modes, 16, 0.5)
     assert val == pytest.approx(2.0 ** 1.5 * 1.0, rel=0.01)
 
 
 def test_zero_field_norms_vanish():
-    rec = estimate_norms(FourierField.zero(G16), 0.5)
-    assert rec.value_holder == 0.0
-    assert rec.value_sobolev == 0.0
-    assert rec.value_w == 0.0
+    zero = np.zeros((3, 16), dtype=complex)
+    assert np.array_equal(sobolev_norms(zero, G16, 0.5), np.zeros(3))
+    assert np.array_equal(holder_norms(zero, 16, 0.5), np.zeros(3))
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.floats(0.1, 10.0), st.integers(0, 2 ** 31))
 def test_norms_scale_homogeneously(c, seed):
     f = rand_field(G16, seed=seed)
-    r1 = estimate_norms(f, 0.5)
-    r2 = estimate_norms(c * f, 0.5)
-    assert r2.value_sobolev == pytest.approx(c * r1.value_sobolev, rel=1e-10)
-    assert r2.value_holder == pytest.approx(c * r1.value_holder, rel=1e-10)
-
-
-def test_record_w_value_is_max():
-    rec = NormRecord(0.5, 0.5, 2.0, 3.0)
-    assert rec.value_w == 3.0
-
-
-def test_space_time_record():
-    g8 = Grid(8, 2.0)
-    F = rand_field(g8, seed=5)
-    times = np.linspace(0, 1, 101)
-    lin = Trajectory(times, np.outer(times, F.modes), g8)
-    rec = estimate_space_time(lin, 0.5, 2.0)
-    assert rec.value_sobolev == pytest.approx(sobolev_norm(F, 0.5), rel=1e-12)
-    assert rec.time_holder_exponent == pytest.approx(0.25)
-    # increments (t-s) F: flat-norm ratio at the largest gap dominates
-    assert rec.value_time >= sobolev_norm(F, 0.0) * 0.999
-    const = Trajectory(times, np.broadcast_to(F.modes, (101, 8)).copy(), g8)
-    assert estimate_space_time(const, 0.5, 2.0).value_time == 0.0
-
-
-# ----------------------------------------------------------------- slope
-
-
-def test_synthetic_half_slope():
-    # one representative mode per plateau, sup-norms 2^{-j/2}
-    grid = Grid(128, 2.0)
-    reps = {1: 3, 2: 5, 3: 12, 4: 20, 5: 40, 6: 100}
-    m = np.zeros(128, dtype=complex)
-    for j, k in reps.items():
-        m[k - 1] = 0.5 * 2.0 ** (-j / 2)
-    rep = regularity_slope_report(FourierField(m, grid), (1, 6))
-    assert rep["slope"] == pytest.approx(-0.5, abs=0.03)
-    assert rep["exponent"] == pytest.approx(0.5, abs=0.03)
-    assert not rep["saturated"]
-
-
-def test_white_field_exponent_frozen_oracle():
-    """iid unit-variance mode coefficients, 64 samples.  The sup-norm of
-    a block with 2^j modes carries a sqrt(log) factor, so the measured
-    exponent sits near -0.62, below the naive -1/2."""
-    grid = Grid(512, 2.0)
-    exps = []
-    for i in range(64):
-        r = np.random.default_rng(2000 + i)
-        z = (r.standard_normal(512) + 1j * r.standard_normal(512)) / np.sqrt(2)
-        exps.append(regularity_slope_report(FourierField(z, grid),
-                                            (2, 8))["exponent"])
-    assert np.mean(exps) == pytest.approx(-0.623, abs=0.03)
-
-
-def test_smooth_field_saturates():
-    grid = Grid(128, 2.0)
-    m = np.zeros(128, dtype=complex)
-    m[0] = 1.0
-    rep = regularity_slope_report(FourierField(m, grid), (-1, 5))
-    assert rep["exponent"] > 2.0
-    assert rep["saturated"]
-
-
-def test_slope_preconditions():
-    f = rand_field(G16)
-    with pytest.raises(InsufficientBlocks):
-        regularity_slope(f, (0, 2))
-    with pytest.raises(BlockOutOfRange):
-        regularity_slope(f, (0, 40))
-
-
-def test_block_profile_matches_single():
-    f = rand_field(G16, seed=11)
-    prof = block_profile(f.modes[None, :], 16)
-    part = DyadicPartition(16)
-    for j in range(-1, part.j_max + 1):
-        sup = np.abs(lp_block(f, j).to_physical(128)).max()
-        assert prof[j + 1] == pytest.approx(sup, rel=1e-12)
+    assert sobolev_norms(c * f.modes, G16, 0.5) == pytest.approx(
+        c * sobolev_norms(f.modes, G16, 0.5), rel=1e-10)
+    assert holder_norms(c * f.modes, 16, 0.5) == pytest.approx(
+        c * holder_norms(f.modes, 16, 0.5), rel=1e-10)

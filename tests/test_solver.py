@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gfsb.besov import holder_norms, sobolev_norms
 from gfsb.errors import (
     BlowupDetected,
     ConfigMismatch,
@@ -18,6 +19,7 @@ from gfsb.errors import (
 from gfsb.noise import NoiseConfig
 from gfsb.solver import (
     EnhancedData,
+    _w_values,
     build_enhanced_data,
     continuous_dependence_probe,
     default_bundle,
@@ -51,6 +53,31 @@ def _u0(grid, entries):
 
 def _ct_l2(modes):
     return float(np.max(np.sqrt(2.0 * np.sum(np.abs(modes) ** 2, axis=-1))))
+
+
+# ------------------------------------------------------------ solver norm
+
+
+def test_w_values_is_max_of_the_two_norms():
+    """One pure mode per row, at amplitude 1/2, plus two random rows.
+    A mode at a power of two is split between two blocks, so its block
+    sups are small and the Sobolev side wins; a plateau mode sits in one
+    block and the Hoelder side wins."""
+    grid = Grid(16, 2.0)
+    s = 0.5
+    rng = np.random.default_rng(6)
+    modes = np.concatenate([0.5 * np.eye(16, dtype=complex),
+                            rng.standard_normal((2, 16, 2)) @ [1, 1j]])
+    sob = sobolev_norms(modes, grid, s)
+    hold = holder_norms(modes, 16, s)
+    assert np.any(sob > hold) and np.any(hold > sob)
+    w = _w_values(modes, grid, s)
+    assert np.array_equal(w, np.maximum(sob, hold))
+    for k in (1, 2, 4, 8, 16):
+        assert w[k - 1] == pytest.approx(math.sqrt(2.0) * k ** s * 0.5,
+                                         rel=1e-14)
+    # mode 12 sits wholly in block 3: 2^{3s} * sup|2 * 0.5 cos|
+    assert w[11] == pytest.approx(2.0 ** (3 * s), rel=0.01)
 
 
 # ------------------------------------------------------------ degeneration
