@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import fft, ifft, next_fast_len
 
 from .errors import BlockOutOfRange, GridMismatch
 from .spectral import (
@@ -250,7 +250,11 @@ class TimeMollifierBank:
         if len(w) == 1:
             return values
         kernel = w.reshape((-1,) + (1,) * (values.ndim - 1))
-        out = fftconvolve(values, kernel, axes=0)[:n]
+        # same length and pocketfft calls as scipy.signal.fftconvolve on
+        # complex input, so the result is bit-identical to it
+        m = next_fast_len(n + len(w) - 1)
+        out = ifft(fft(values, m, axis=0) * fft(kernel, m, axis=0),
+                   axis=0)[:n]
         # lags reaching past the first node read the clamped value there
         tail = np.zeros(n)
         tail[:len(w)] = np.clip(1.0 - np.cumsum(w), 0.0, None)

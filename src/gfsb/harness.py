@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import integrate
 
 from .besov import (
     _SUP_ROWS,
@@ -1096,6 +1095,8 @@ def _cross_quadrature(a, b, delta):
     quarter-plane, split along the kink line v = u - delta and at
     u = delta, where that line meets the axis v = 0, so each piece has
     a smooth integrand and smooth inner limits."""
+    from scipy import integrate
+
     def above(v, u):
         return math.exp(-a * u - a * v - b * (delta - u + v))
 

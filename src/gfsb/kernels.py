@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, ZeroModeK
 from .noise import NoiseConfig
@@ -499,6 +498,8 @@ def _cross_pair_tail(a: int, p: float, q: float, K: int) -> float:
     """Continuum completion int_{|x| > K + 1/2} |x-a|^{-p} |x|^{-q} dx,
     evaluated through x = (K + 1/2)/t so the quadrature lives on (0, 1]
     (direct quadrature on (K, inf) underflows silently at large K)."""
+    from scipy import integrate
+
     edge = K + 0.5
 
     def one_side(sign):

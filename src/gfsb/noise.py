@@ -38,7 +38,6 @@ from .spectral import Grid, Mollifier, read_snapshot, write_snapshot
 from .trajectory import Trajectory
 
 PURPOSE_STATIONARY = 0
-PURPOSE_INCREMENTS = 1
 
 
 @dataclass(frozen=True)
@@ -152,27 +151,6 @@ def sample_Y_ensemble(config: NoiseConfig, grid: Grid, n_replicas: int,
         z = _normals(config.seed, base_purpose + r, shape)
         out[r] = _ou_path(config, grid, z)
     return out
-
-
-def sample_noise_increments(config: NoiseConfig, grid: Grid, steps: int,
-                            purpose: int = PURPOSE_INCREMENTS) -> Trajectory:
-    """White-in-time increments of the forcing, scaled by |k|^beta.
-
-    Node i holds the increment over ((i) dt, (i+1) dt], timestamped at
-    the right endpoint; per-mode variance |k|^(2 beta) phi^2
-    noise_scale^2 dt.
-    """
-    check_grid(config, grid)
-    if steps < 1:
-        raise ValidationError(f"steps must be >= 1, got {steps}")
-    k = grid.wavenumbers
-    phi = config.mollifier().factors(k)
-    sd = config.noise_scale * phi * k ** config.beta * math.sqrt(config.dt)
-    z = _normals(config.seed, purpose, (steps, grid.n_modes, 2))
-    modes = sd * (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
-    times = np.arange(1, steps + 1) * config.dt
-    return Trajectory(times, modes, grid,
-                      meta={"kind": "increments", "seed": config.seed})
 
 
 def couple_noise(config_a: NoiseConfig, config_b: NoiseConfig,

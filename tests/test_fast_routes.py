@@ -8,7 +8,8 @@ Each reference below is the straightforward route those replace: every
 product on the 4(N+1)-point grid, every mask over all N modes, the lag
 kernel at full length, and every row's block samples at once.  The fast
 routes must agree with them to roundoff on random inputs; the block
-sups must agree bit for bit.
+sups must agree bit for bit, and so must the time average with
+scipy.signal.fftconvolve on the same cut kernel.
 """
 
 import numpy as np
@@ -74,6 +75,20 @@ def untruncated_smooth(bank, values, j):
     tail = np.zeros(n)
     upto = min(n, len(w))
     tail[:upto] = np.clip(1.0 - cum[:upto], 0.0, None)
+    return out + tail.reshape(shape) * values[0]
+
+
+def fftconvolve_smooth(bank, values, j):
+    """The time average through scipy.signal.fftconvolve, with the lag
+    kernel cut to the horizon as in ``TimeMollifierBank.smooth``."""
+    n = len(values)
+    w = bank.lag_weights(j)[:n]
+    if len(w) == 1:
+        return values
+    shape = (-1,) + (1,) * (values.ndim - 1)
+    out = fftconvolve(values, w.reshape(shape), axes=0)[:n]
+    tail = np.zeros(n)
+    tail[:len(w)] = np.clip(1.0 - np.cumsum(w), 0.0, None)
     return out + tail.reshape(shape) * values[0]
 
 
@@ -192,6 +207,19 @@ def test_smooth_matches_untruncated_kernel(rows, tail):
     for j in range(-1, 6):
         assert_close(bank.smooth(values, j),
                      untruncated_smooth(bank, values, j))
+
+
+@pytest.mark.parametrize("rows", HORIZONS)
+@pytest.mark.parametrize("tail", [(), (3,), (2, 7)])
+def test_smooth_is_bit_identical_to_fftconvolve(rows, tail):
+    bank = TimeMollifierBank(dt=0.01, gamma=2.0)
+    rng = np.random.default_rng(rows + len(tail))
+    values = random_modes(rng, (rows,) + tail)
+    for j in range(-1, 6):
+        fast = bank.smooth(values, j)
+        ref = fftconvolve_smooth(bank, values, j)
+        assert fast.dtype == ref.dtype
+        assert np.array_equal(fast, ref)
 
 
 @pytest.mark.parametrize("n_modes,rows", [(7, 1), (7, 51), (7, 600),

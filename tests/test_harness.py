@@ -1,6 +1,9 @@
 """Study harness: spec files, manifests, determinism, CLI plumbing."""
 import json
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +225,28 @@ def test_plot_data_requires_complete_manifest():
 
 
 # ------------------------------------------------------------------- CLI
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Every study process and CLI call pays for this import.  A fresh
+# process is needed because other tests import these modules in-process.
+IMPORT_PROBE = """\
+import sys
+import gfsb.cli
+from gfsb.harness import load_spec
+load_spec(sys.argv[1], sys.argv[2])
+print(sorted(m for m in ("scipy.signal", "scipy.integrate", "scipy.stats",
+                         "scipy.optimize") if m in sys.modules))
+"""
+
+
+def test_cli_import_leaves_heavy_scipy_unloaded(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    spec = ROOT / "experiments" / "c10-solver-reconstruction.spec"
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(spec), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]", out.stdout
 
 
 def test_cli_verify_identities(tmp_path):

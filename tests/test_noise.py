@@ -22,7 +22,6 @@ from gfsb.noise import (
     check_grid,
     couple_noise,
     load_trajectory,
-    sample_noise_increments,
     sample_Y,
     sample_Y_ensemble,
     save_trajectory,
@@ -169,48 +168,6 @@ def test_reproducibility_bit_exact():
     np.testing.assert_array_equal(a.modes, b.modes)
     c = sample_Y(dataclasses.replace(CFG, seed=43), G8)
     assert np.any(c.modes != a.modes)
-
-
-# ----------------------------------------------------------------- increments
-
-
-def test_increment_variances():
-    grid = Grid(4, 2.0)
-    cfg = NoiseConfig(gamma=2.0, epsilon=0.0, seed=19, dt=0.02, t_end=1.0)
-    steps = cfg.n_steps
-    traj = sample_noise_increments(cfg, grid, steps)
-    assert len(traj) == steps
-    k = 3.0
-    target = k ** (2 * cfg.beta) * cfg.dt  # |k|^{2 beta} dt per step
-    inc = traj.modes[:, 2]
-    n = len(inc)
-    se = target * math.sqrt(2.0 / n)
-    assert abs(np.mean(np.abs(inc) ** 2) - target) < 4 * se
-    assert abs(np.var(inc.real) - target / 2) < 4 * se
-    assert abs(np.var(inc.imag) - target / 2) < 4 * se
-
-
-def test_increment_sum_variance_grows_linearly():
-    grid = Grid(2, 2.0)
-    base = NoiseConfig(gamma=2.0, epsilon=0.0, seed=23, dt=0.01, t_end=2.0)
-    sums = []
-    for r in range(2000):
-        cfg = dataclasses.replace(base, seed=23)
-        traj = sample_noise_increments(cfg, grid, 200, purpose=9000 + r)
-        w = np.cumsum(traj.modes[:, 0])
-        sums.append((w[49], w[199]))
-    sums = np.asarray(sums)
-    v50 = np.mean(np.abs(sums[:, 0]) ** 2)
-    v200 = np.mean(np.abs(sums[:, 1]) ** 2)
-    assert v200 / v50 == pytest.approx(4.0, rel=0.2)
-
-
-def test_increment_determinism():
-    grid = Grid(4, 2.0)
-    cfg = NoiseConfig(gamma=2.0, epsilon=0.0, seed=29, dt=0.02, t_end=1.0)
-    a = sample_noise_increments(cfg, grid, 10)
-    b = sample_noise_increments(cfg, grid, 10)
-    np.testing.assert_array_equal(a.modes, b.modes)
 
 
 # ----------------------------------------------------------------- coupling
