@@ -38,7 +38,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .besov import (_OVERSAMPLE, TimeMollifierBank, _bilinear,
-                    holder_norms, modified_paraproduct, sobolev_norms)
+                    holder_norms, intersection_sup, modified_paraproduct,
+                    sobolev_norms)
 from .construct import (DEFAULT_COUPLING, TreeTrajectory, bilinear_forcing,
                         build_tree_family, duhamel_scan, recenter)
 from .errors import (BlowupDetected, ConfigMismatch, DomainError,
@@ -71,7 +72,8 @@ def _w_values(modes: np.ndarray, grid: Grid, s: float) -> np.ndarray:
 
 
 def _w_sup(modes: np.ndarray, grid: Grid, s: float) -> float:
-    return float(np.max(_w_values(modes, grid, s)))
+    """Largest per-node intersection norm: the max of ``_w_values``."""
+    return intersection_sup(modes, grid, s)
 
 
 def _norm_nodes(modes: np.ndarray) -> np.ndarray:

@@ -1,20 +1,25 @@
-"""Band-sized products, horizon-cut time averages and row-chunked block
-sups against the full routes.
+"""Band-sized products, horizon-cut time averages, row-chunked block
+sups and the pruned solver norm against the full routes.
 
 The product kernel sizes its grid from the factors' bands, the
 paraproduct masks are cut to their bands, the time average cuts its
-lag kernel to the horizon, and the block sup norms run over row chunks.
-Each reference below is the straightforward route those replace: every
-product on the 4(N+1)-point grid, every mask over all N modes, the lag
-kernel at full length, and every row's block samples at once.  The fast
-routes must agree with them to roundoff on random inputs; the block
-sups must agree bit for bit, and so must the time average with
+lag kernel to the horizon, the block sup norms run over row chunks, and
+the solver norm skips the block reads of rows whose l1 bound cannot
+reach the max.  Each reference below is the straightforward route those
+replace: every product on the 4(N+1)-point grid, every mask over all N
+modes, the lag kernel at full length, every row's block samples at
+once, and the max over every row's norm.  The fast routes must agree
+with them to roundoff on random inputs; the block sups and the solver
+norm must agree bit for bit, and so must the time average with
 scipy.signal.fftconvolve on the same cut kernel.
 """
+
+import math
 
 import numpy as np
 import pytest
 
+import gfsb.besov
 from gfsb.besov import (
     _OVERSAMPLE,
     DyadicPartition,
@@ -24,7 +29,9 @@ from gfsb.besov import (
     _para_masks,
     _partition_weights,
     modified_paraproduct,
+    sobolev_norms,
 )
+from gfsb.solver import _w_sup, _w_values
 from gfsb.spectral import Grid, modes_to_physical, product_modes
 from gfsb.trajectory import Trajectory
 from scipy.signal import fftconvolve
@@ -104,6 +111,10 @@ def unchunked_block_sups(modes, n_modes):
     _, w = _partition_weights(n_modes)
     vals = modes_to_physical(modes[..., None, :] * w, _OVERSAMPLE * n_modes)
     return np.max(np.abs(vals), axis=-1)
+
+
+def full_w_sup(modes, grid, s):
+    return float(np.max(_w_values(modes, grid, s)))
 
 
 def random_modes(rng, shape):
@@ -248,3 +259,142 @@ def test_block_sups_match_unchunked_route(n_modes, batch):
     ref = unchunked_block_sups(modes, n_modes)
     assert out.shape == ref.shape and out.dtype == ref.dtype
     assert np.array_equal(out, ref)
+
+
+# ------------------------------------------------------ pruned solver norm
+
+W_EXPONENTS = (-0.4, 0.25, 0.9)
+
+
+def decaying_rows(rng, rows, n_modes):
+    """Modes decaying like 1/k, each row scaled by its own amplitude."""
+    k = np.arange(1, n_modes + 1)
+    return (random_modes(rng, (rows, n_modes)) / k
+            * rng.exponential(size=(rows, 1)))
+
+
+def tight_rows(rows):
+    """0.5 e^{i phi} at mode 12 of N = 16, which sits on block 3's plateau
+    (weight exactly 1), for phi a multiple of pi/2: each row's block sup
+    2 * 0.5 is reached on the 8N grid, so the l1 bound is attained and
+    every row has the same bound and Hoelder norm 2^{3s}."""
+    modes = np.zeros((rows, 16), dtype=complex)
+    modes[:, 11] = 0.5 * np.array([1, 1j, -1, -1j])[np.arange(rows) % 4]
+    return modes
+
+
+def sobolev_rows(rows):
+    """0.5 at mode 16 of N = 16: the mode is split between blocks 3 and
+    4, so every l1 bound stays under the Sobolev norm."""
+    modes = np.zeros((rows, 16), dtype=complex)
+    modes[:, 15] = 0.5
+    return modes
+
+
+def adversarial_inputs():
+    rng = np.random.default_rng(11)
+    base = decaying_rows(rng, 1, 32)[0]
+    # -c, conj(c) and 1j*c have |c| bit for bit, so all 40 bounds tie
+    equal = np.stack([v for _ in range(10)
+                      for v in (base, -base, base.conj(), 1j * base)])
+    spike = np.zeros((50, 32), dtype=complex)
+    spike[23, 5] = 3.0 - 1.0j
+    loud = decaying_rows(rng, 50, 32)
+    loud[37] *= 1e6
+    cos_rows = np.zeros((24, 32), dtype=complex)
+    phase = np.exp(2j * np.pi * rng.integers(0, 8 * 32, 24) / (8 * 32))
+    cos_rows[np.arange(24), rng.integers(0, 32, 24)] = 0.7 * phase
+    return {
+        "equal-bounds": (equal, 32),
+        "spike": (spike, 32),
+        "one-loud-row": (loud, 32),
+        "all-zero": (np.zeros((20, 32), dtype=complex), 32),
+        "pure-cos": (cos_rows, 32),
+        "tight": (tight_rows(20), 16),
+        "one-row": (decaying_rows(rng, 1, 32)[0][None, :], 32),
+        "sobolev-wins": (sobolev_rows(20), 16),
+    }
+
+
+@pytest.mark.parametrize("n_modes,rows", [(128, 51), (256, 1001), (17, 40),
+                                          (7, 5)])
+@pytest.mark.parametrize("s", W_EXPONENTS)
+def test_w_sup_matches_full_route(n_modes, rows, s):
+    rng = np.random.default_rng(3 * n_modes + rows)
+    grid = Grid(n_modes, 2.0)
+    for modes in (decaying_rows(rng, rows, n_modes),
+                  random_modes(rng, (rows, n_modes))):
+        assert _w_sup(modes, grid, s) == full_w_sup(modes, grid, s)
+
+
+@pytest.mark.parametrize("case", sorted(adversarial_inputs()))
+@pytest.mark.parametrize("s", W_EXPONENTS + (0.5,))
+def test_w_sup_matches_full_route_on_adversarial_rows(case, s):
+    modes, n_modes = adversarial_inputs()[case]
+    grid = Grid(n_modes, 2.0)
+    assert _w_sup(modes, grid, s) == full_w_sup(modes, grid, s)
+
+
+def test_w_sup_sides_of_the_adversarial_rows():
+    """The tight rows are won by the Hoelder side, the split-mode rows by
+    the Sobolev side, so both starts of the running max are exercised."""
+    s, grid = 0.5, Grid(16, 2.0)
+    for modes, sobolev_wins in ((tight_rows(20), False),
+                                (sobolev_rows(20), True)):
+        top = float(np.max(sobolev_norms(modes, grid, s)))
+        assert (_w_sup(modes, grid, s) == top) == sobolev_wins
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_w_sup_stays_non_finite(bad):
+    rng = np.random.default_rng(5)
+    grid = Grid(32, 2.0)
+    for where in ((0, 0), (17, 31), (3, 9)):
+        modes = decaying_rows(rng, 20, 32)
+        modes[where] = bad
+        got = _w_sup(modes, grid, 0.25)
+        ref = full_w_sup(modes, grid, 0.25)
+        assert not math.isfinite(got)
+        assert got == ref or (math.isnan(got) and math.isnan(ref))
+
+
+@pytest.fixture
+def rows_read(monkeypatch):
+    """Rows whose block sups _w_sup reads, summed over its calls."""
+    counted = []
+    full = gfsb.besov._block_sup_norms
+
+    def spy(modes, n_modes):
+        counted.append(math.prod(modes.shape[:-1]))
+        return full(modes, n_modes)
+
+    monkeypatch.setattr(gfsb.besov, "_block_sup_norms", spy)
+
+    def read(modes, grid, s):
+        ref = full_w_sup(modes, grid, s)
+        counted.clear()
+        assert _w_sup(modes, grid, s) == ref
+        return sum(counted)
+    return read
+
+
+def test_w_sup_reads_few_rows_of_decaying_input(rows_read):
+    """Row amplitudes shrink geometrically, as along a contracting Picard
+    sweep, so the top rows' bounds clear the rest; the Hoelder side wins,
+    so the prune is not won by the Sobolev start alone."""
+    rng = np.random.default_rng(2)
+    grid = Grid(64, 2.0)
+    modes = decaying_rows(rng, 200, 64) * 0.97 ** np.arange(200)[:, None]
+    assert _w_sup(modes, grid, 0.9) > np.max(sobolev_norms(modes, grid, 0.9))
+    assert rows_read(modes, grid, 0.9) < 100
+
+
+def test_w_sup_reads_every_row_when_bounds_tie_tight(rows_read):
+    assert rows_read(tight_rows(40), Grid(16, 2.0), 0.5) == 40
+
+
+@pytest.mark.parametrize("modes", [np.zeros((40, 16), dtype=complex),
+                                   sobolev_rows(40)],
+                         ids=["all-zero", "sobolev-wins"])
+def test_w_sup_reads_no_row_under_the_sobolev_max(rows_read, modes):
+    assert rows_read(modes, Grid(16, 2.0), 0.5) == 0
