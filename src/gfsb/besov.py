@@ -13,6 +13,13 @@ The time-smoothed variant replaces the low-pass factor with a causal
 moving average whose memory shrinks like 2^(-gamma*i) with the block
 index, mirroring the dissipation time-scale of that frequency band.
 
+A factor that stays fixed across many pairings (a solver's forced flow,
+or Q) can be passed as ``_sample(modes, n_modes, which, side)``: each of
+its masked blocks is sampled once on the grid that block's product uses,
+and a pairing then transforms only its other factor, one block at a
+time.  Grids and transforms are ``product_modes``' own, so both routes
+give the same sums bit for bit.
+
 The solvers' contraction norm on C^s cap H^s is the max of two row-wise
 reads, both kept here so that every caller shares one definition:
 ``sobolev_norms`` gives the H^s norm of each row of a mode array, and
@@ -44,9 +51,10 @@ from .errors import BlockOutOfRange, GridMismatch
 from .spectral import (
     FourierField,
     Grid,
+    _product_grid,
+    _product_of_samples,
     bump_profile,
     modes_to_physical,
-    product_modes,
 )
 from .trajectory import Trajectory
 
@@ -157,19 +165,88 @@ def _para_masks(n_modes: int):
     return tuple(out)
 
 
+@lru_cache(maxsize=64)
+def _pair_grids(n_modes: int, lower: bool):
+    """The blocks of the lower (or resonant) pairing whose left band is
+    not empty, each as (j, (left mask, block mask), m, top): the grid
+    length and top that ``product_modes`` picks for the two masked
+    factors."""
+    out = []
+    for j, (lo, window, blk) in enumerate(_para_masks(n_modes), start=-1):
+        left = lo if lower else window
+        if left.size:
+            out.append((j, (left, blk))
+                       + _product_grid(left.size, blk.size, n_modes))
+    return tuple(out)
+
+
+@dataclass(frozen=True, eq=False)
+class _Sampled:
+    """A fixed factor of a pairing, held as its masked blocks sampled on
+    their product grids: ``blocks[i]`` belongs to entry i of
+    ``_pair_grids(n_modes, lower)``, and ``side`` is 0 for the low-pass
+    (or window) side and 1 for the block side.  ``shape`` is that of the
+    sampled mode array; a sampled Trajectory is kept for its times."""
+
+    shape: tuple
+    n_modes: int
+    lower: bool
+    side: int
+    blocks: tuple
+    trajectory: Trajectory | None = None
+
+
+def _sample(factor, n_modes: int, which: str, side: int) -> _Sampled:
+    """Sample a fixed factor (mode array or Trajectory) for every block
+    of a pairing once, so that the pairings it enters transform only
+    their other factor.  The sums are the same bit for bit: the same
+    arrays meet the same FFTs."""
+    lower = which == "lower"
+    traj = factor if isinstance(factor, Trajectory) else None
+    modes = factor.modes if traj else factor
+    blocks = tuple(modes_to_physical(modes[..., :masks[side].size]
+                                     * masks[side], m)
+                   for _, masks, m, _ in _pair_grids(n_modes, lower))
+    return _Sampled(modes.shape, n_modes, lower, side, blocks, traj)
+
+
+def _held(factor, n_modes: int, lower: bool, side: int):
+    """The held block samples of a fixed factor, or None for a mode
+    array; samples taken for another pairing, side or grid are refused."""
+    if not isinstance(factor, _Sampled):
+        return None
+    if (factor.n_modes, factor.lower, factor.side) != (n_modes, lower, side):
+        raise ValueError(
+            "fixed factor sampled for another pairing, side or grid")
+    return factor.blocks
+
+
+def _block(modes, held, i: int, mask: np.ndarray, m: int) -> np.ndarray:
+    """Block i's masked factor on its m-point grid: held, or sampled."""
+    if held is not None:
+        return held[i]
+    return modes_to_physical(modes[..., :mask.size] * mask, m)
+
+
 def _bilinear(f_modes, g_modes, n_modes, which: str):
     """Shared engine: sums dealiased products of masked mode arrays.
 
     which = "lower": sum_j S_{j-1} f * Delta_j g
     which = "resonant": sum_{|i-j|<=1} Delta_i f * Delta_j g
+
+    Either factor may come as ``_sample(modes, n_modes, which, side)``.
+    Blocks go one at a time, and each product is formed as soon as its
+    block is sampled, so only the held samples outlive a block.
     """
+    lower = which == "lower"
+    f_held = _held(f_modes, n_modes, lower, 0)
+    g_held = _held(g_modes, n_modes, lower, 1)
     acc = np.zeros(np.broadcast_shapes(f_modes.shape, g_modes.shape),
                    dtype=np.complex128)
-    for lo, window, blk in _para_masks(n_modes):
-        left = lo if which == "lower" else window
-        if left.size:
-            acc += product_modes(f_modes[..., :left.size] * left,
-                                 g_modes[..., :blk.size] * blk, n_modes)
+    for i, (_, (left, blk), m, top) in enumerate(_pair_grids(n_modes, lower)):
+        acc += _product_of_samples(_block(f_modes, f_held, i, left, m),
+                                   _block(g_modes, g_held, i, blk, m), m,
+                                   top, n_modes)
     return acc
 
 
@@ -273,16 +350,21 @@ class TimeMollifierBank:
         return out
 
 
-def modified_paraproduct(f: Trajectory, g: Trajectory,
-                         bank: TimeMollifierBank) -> Trajectory:
-    """Lower paraproduct with a causally time-averaged low-pass factor."""
+def modified_paraproduct(f: Trajectory, g, bank: TimeMollifierBank
+                         ) -> Trajectory:
+    """Lower paraproduct with a causally time-averaged low-pass factor;
+    ``g`` may come as ``_sample(g, n_modes, "lower", 1)``."""
+    n_modes = f.grid.n_modes
+    g_held = _held(g, n_modes, True, 1)
+    if g_held is not None:
+        g = g.trajectory
     f._check(g)
     acc = np.zeros_like(g.modes)
-    for j, (lo, _, blk) in enumerate(_para_masks(g.grid.n_modes), start=-1):
-        if lo.size:
-            left = bank.smooth(f.modes[..., :lo.size] * lo, j)
-            acc += product_modes(left, g.modes[..., :blk.size] * blk,
-                                 g.grid.n_modes)
+    for i, (j, (lo, blk), m, top) in enumerate(_pair_grids(n_modes, True)):
+        left = bank.smooth(f.modes[..., :lo.size] * lo, j)
+        acc += _product_of_samples(modes_to_physical(left, m),
+                                   _block(g.modes, g_held, i, blk, m), m,
+                                   top, n_modes)
     return Trajectory(g.times, acc, g.grid)
 
 

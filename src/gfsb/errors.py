@@ -53,10 +53,6 @@ class ConfigMismatch(GFSBError):
     """Coupled sampling requested for configs differing beyond epsilon."""
 
 
-class StabilityError(GFSBError):
-    """Time step too large for the fastest resolved mode."""
-
-
 # --- tree constructor ---
 
 class NonuniformGrid(GFSBError):

@@ -12,7 +12,10 @@ common regime:
 * ``solve_paracontrolled`` iterates the coupled pair (u', u#): u' rides
   the time-smoothed paraproduct against the antiderivative Q of the
   differentiated forced flow, and u# collects every leftover of the
-  decomposition behind pluggable closure operators.
+  decomposition through three fixed closures of the rough products.
+  Its sweeps transform only what changes: the trees' share of the
+  forcing, and the flow and Q sampled on every block grid, are formed
+  once per slab attempt.
 
 The shared discretization applies the stiff linear part exactly through
 the per-mode exponential and the nonlinearity through trapezoid-weighted
@@ -32,12 +35,11 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln
 
-from .besov import (_OVERSAMPLE, TimeMollifierBank, _bilinear,
+from .besov import (_OVERSAMPLE, TimeMollifierBank, _bilinear, _sample,
                     holder_norms, intersection_sup, modified_paraproduct,
                     sobolev_norms)
 from .construct import (DEFAULT_COUPLING, TreeTrajectory, bilinear_forcing,
@@ -561,76 +563,6 @@ def solve_subcritical(data: EnhancedData, coefficients, u0: FourierField,
 
 
 @dataclass(frozen=True)
-class OperatorBundle:
-    """Pluggable closures of the rough products in the sharp-part forcing.
-
-    Each callable maps the iteration context (a dict of mode arrays and
-    shared operators on the active horizon) to a forcing contribution.
-    ``closure_route`` selects how the time-smoothed-paraproduct part of
-    the closure is re-integrated:
-
-    * ``"exact"``: the scan of that part is replaced by the paraproduct
-      trajectory itself, using the discrete inverse of the Duhamel scan
-      (the two cancel node-by-node because the paraproduct starts at 0).
-    * ``"finite-difference"``: the part enters the forcing as the
-      time-derivative (centered differences) plus the spectral
-      dissipation of the paraproduct trajectory, and is scanned like
-      every other term.
-    * ``"none"``: no extra handling; the closure callable must supply
-      everything it wants integrated.
-    """
-
-    cubic_resonance: Callable | None = None
-    remainder_resonance: Callable | None = None
-    paraproduct_closure: Callable | None = None
-    closure_route: str = "exact"
-
-    def __post_init__(self):
-        if self.closure_route not in ("exact", "finite-difference", "none"):
-            raise ValidationError(
-                f"unknown closure route {self.closure_route!r}")
-
-
-def _default_cubic_resonance(ctx: dict) -> np.ndarray:
-    """Resonant and high-low pairings of the cubic tree with the flow."""
-    xr = ctx["scaled"]["rLlr"]
-    y = ctx["scaled"][GENERATOR_KEY]
-    n = ctx["grid"].n_modes
-    mix = _bilinear(xr, y, n, "resonant") + _bilinear(y, xr, n, "lower")
-    return 2.0 * ctx["coupling"] * ctx["deriv"] * mix
-
-
-def _default_remainder_resonance(ctx: dict) -> np.ndarray:
-    """Resonant and high-low pairings of u' minus its tree part."""
-    uq = ctx["uq"]
-    y = ctx["scaled"][GENERATOR_KEY]
-    n = ctx["grid"].n_modes
-    mix = _bilinear(uq, y, n, "resonant") + _bilinear(y, uq, n, "lower")
-    return 2.0 * ctx["coupling"] * ctx["deriv"] * mix
-
-
-def _default_paraproduct_closure(ctx: dict) -> np.ndarray:
-    """Low-high pairing of u' against the differentiated flow.
-
-    The matching minus-generator term on the time-smoothed paraproduct
-    is handled by the bundle's closure route in the scan step.
-    """
-    y = ctx["scaled"][GENERATOR_KEY]
-    lower = _bilinear(ctx["u_prime"], ctx["deriv"] * y,
-                      ctx["grid"].n_modes, "lower")
-    return 2.0 * ctx["coupling"] * lower
-
-
-def default_bundle(closure_route: str = "exact") -> OperatorBundle:
-    """The concrete closure choice the solver is validated against."""
-    return OperatorBundle(
-        cubic_resonance=_default_cubic_resonance,
-        remainder_resonance=_default_remainder_resonance,
-        paraproduct_closure=_default_paraproduct_closure,
-        closure_route=closure_route)
-
-
-@dataclass(frozen=True)
 class ParacontrolledState:
     """Converged (u', u#) pair with the paraproduct bookkeeping.
 
@@ -651,9 +583,9 @@ class ParacontrolledState:
 
 
 def solve_paracontrolled(data: EnhancedData, coefficients, u0: FourierField,
-                         operators: OperatorBundle | None = None,
                          t_end: float | None = None,
                          tol: float = DEFAULT_TOL, *,
+                         closure_route: str = "exact",
                          coupling: float = DEFAULT_COUPLING,
                          max_iter: int = DEFAULT_MAX_ITER,
                          s: float | None = None,
@@ -666,9 +598,29 @@ def solve_paracontrolled(data: EnhancedData, coefficients, u0: FourierField,
     causally over the whole accepted horizon, then scans the sharp-part
     forcing: the classical square and cross terms, the commutator of
     the derivative with the low-high pairing against the flow, and the
-    bundle closures.  Blow-up is monitored on the combined functional
-    (u' at exponent s) + 2 (u# at exponent 2s).
+    three closures of the rough products (the cubic tree's resonant and
+    high-low pairings with the flow, the same pairings of u' minus its
+    tree part, and the low-high pairing of u' against the differentiated
+    flow).  ``closure_route`` selects how the minus-generator term on
+    the time-smoothed paraproduct is re-integrated:
+
+    * ``"exact"``: the scan of that part is replaced by the paraproduct
+      trajectory itself, using the discrete inverse of the Duhamel scan
+      (the two cancel node-by-node because the paraproduct starts at 0).
+    * ``"finite-difference"``: the part enters the forcing as the
+      time-derivative (centered differences) plus the spectral
+      dissipation of the paraproduct trajectory, and is scanned like
+      every other term.
+
+    What depends only on the trees is formed once per slab attempt: the
+    cubic closure, the square of the quadratic tree, and the flow, its
+    derivative and Q sampled on every block grid of the pairings they
+    enter, so a sweep transforms only the factors that change.  Blow-up
+    is monitored on the combined functional (u' at exponent s) + 2 (u#
+    at exponent 2s).
     """
+    if closure_route not in ("exact", "finite-difference"):
+        raise ValidationError(f"unknown closure route {closure_route!r}")
     params = data.params
     if params.alpha + params.b <= 0:
         raise PreconditionViolated(
@@ -678,7 +630,6 @@ def solve_paracontrolled(data: EnhancedData, coefficients, u0: FourierField,
         if need not in data.trees:
             raise ValidationError(
                 f"paracontrolled route needs the {need!r} tree")
-    bundle = default_bundle() if operators is None else operators
     grid = u0.grid
     if grid != data.grid:
         raise GridMismatch("initial data and trees live on different grids")
@@ -693,6 +644,7 @@ def solve_paracontrolled(data: EnhancedData, coefficients, u0: FourierField,
     decay = np.exp(-rates * dt)
     weight = (1.0 - decay) / rates
     deriv = derivative_symbol(grid)
+    n_mod = grid.n_modes
     bank = TimeMollifierBank(dt, grid.gamma)
 
     y_raw = data.trees[GENERATOR_KEY].modes[:top + 1]
@@ -707,10 +659,9 @@ def solve_paracontrolled(data: EnhancedData, coefficients, u0: FourierField,
     u_prime = np.zeros(shape, dtype=np.complex128)
     u_prime[0] = xr_s[0] + u0.modes       # the paraproduct starts at zero
 
-    def smoothed_para(horizon):
+    def smoothed_para(horizon, q):
         return modified_paraproduct(
-            Trajectory(times[:horizon], u_prime[:horizon], grid),
-            Trajectory(times[:horizon], q_modes[:horizon], grid),
+            Trajectory(times[:horizon], u_prime[:horizon], grid), q,
             bank).modes
 
     slabs = []
@@ -723,46 +674,50 @@ def solve_paracontrolled(data: EnhancedData, coefficients, u0: FourierField,
             rel = times[i0:hi] - times[i0]
             prime_before = u_prime.copy()
             try:
+                # the trees' share of the sweep, on this attempt's horizon
+                y, xlr, xr = y_s[:hi], xlr_s[:hi], xr_s[:hi]
+                flow_low = _sample(y, n_mod, "lower", 0)
+                flow_res = _sample(y, n_mod, "resonant", 1)
+                # the flow and its derivative, stacked: one lower pairing
+                # gives u' against both
+                flow_blk = _sample(np.stack([y, deriv * y]), n_mod,
+                                   "lower", 1)
+                q_blk = _sample(Trajectory(times[:hi], q_modes[:hi], grid),
+                                n_mod, "lower", 1)
+                tree_square = bilinear_forcing(xlr, xlr, grid, coupling)
+                cubic = 2.0 * coupling * deriv * (
+                    _bilinear(xr, flow_res, n_mod, "resonant")
+                    + _bilinear(flow_low, xr, n_mod, "lower"))
+
                 sharp_cur = _freeflow(u_sharp[i0], rates, rel)
                 dists = []
                 for _ in range(max_iter):
                     sharp_full = np.concatenate(
                         [u_sharp[:i0], sharp_cur], axis=0)
-                    para = smoothed_para(hi)
-                    prime_new = xr_s[:hi] + para + sharp_full
+                    para = smoothed_para(hi, q_blk)
+                    prime_new = xr + para + sharp_full
                     d_prime = _w_sup(prime_new - u_prime[:hi], grid, s)
                     u_prime[:hi] = prime_new
                     uq = para + sharp_full
-                    ctx = {"u_prime": prime_new, "u_sharp": sharp_full,
-                           "para": para, "uq": uq, "q": q_modes[:hi],
-                           "scaled": {GENERATOR_KEY: y_s[:hi],
-                                      "lr": xlr_s[:hi], "rLlr": xr_s[:hi]},
-                           "trees": data.trees, "grid": grid,
-                           "deriv": deriv, "rates": rates, "dt": dt,
-                           "coupling": coupling, "bank": bank,
-                           "times": times[:hi]}
-                    rhs = (bilinear_forcing(xlr_s[:hi], xlr_s[:hi], grid,
-                                            coupling)
-                           + bilinear_forcing(xlr_s[:hi], prime_new, grid,
+                    low_y, low_dy = _bilinear(prime_new, flow_blk, n_mod,
+                                              "lower")
+                    rhs = (tree_square
+                           + bilinear_forcing(xlr, prime_new, grid,
                                               2.0 * coupling)
                            + bilinear_forcing(prime_new, prime_new, grid,
                                               coupling)
-                           + 2.0 * coupling * (
-                               deriv * _bilinear(prime_new, y_s[:hi],
-                                                 grid.n_modes, "lower")
-                               - _bilinear(prime_new, deriv * y_s[:hi],
-                                           grid.n_modes, "lower")))
-                    for term in (bundle.cubic_resonance,
-                                 bundle.remainder_resonance,
-                                 bundle.paraproduct_closure):
-                        if term is not None:
-                            rhs = rhs + term(ctx)
-                    if bundle.closure_route == "finite-difference":
+                           + 2.0 * coupling * (deriv * low_y - low_dy))
+                    rhs = rhs + cubic
+                    rhs = rhs + 2.0 * coupling * deriv * (
+                        _bilinear(uq, flow_res, n_mod, "resonant")
+                        + _bilinear(flow_low, uq, n_mod, "lower"))
+                    rhs = rhs + 2.0 * coupling * low_dy
+                    if closure_route == "finite-difference":
                         rhs = rhs - (np.gradient(para, dt, axis=0)
                                      + rates * para)
                     sharp_new = duhamel_scan(rhs[i0:hi], decay, weight,
                                              init=u_sharp[i0])
-                    if bundle.closure_route == "exact":
+                    if closure_route == "exact":
                         sharp_new = sharp_new - (
                             para[i0:hi] - _freeflow(para[i0], rates, rel))
                     d_sharp = _w_sup(sharp_new - sharp_cur, grid, s)
@@ -796,12 +751,13 @@ def solve_paracontrolled(data: EnhancedData, coefficients, u0: FourierField,
         slab_steps = _next_slab_steps(info, max(data.norm, functional),
                                       delta, grid.gamma, dt, slab_steps)
 
-    para_final = smoothed_para(top + 1)
+    para_final = smoothed_para(top + 1,
+                               Trajectory(times, q_modes, grid))
     uq_final = para_final + u_sharp
     residual = _w_sup(u_prime - (xr_s + para_final + u_sharp), grid, s)
     diagnostics = {"s": s, "tol": tol, "coupling": coupling, "slabs": slabs,
                    "ansatz_residual": residual,
-                   "closure_route": bundle.closure_route}
+                   "closure_route": closure_route}
     return ParacontrolledState(
         u_prime=Trajectory(times, u_prime, grid, meta={"kind": "riding"}),
         u_sharp=Trajectory(times, u_sharp, grid, meta={"kind": "sharp"}),

@@ -14,7 +14,9 @@ ka and kb stored modes produce modes up to ka + kb, and the grid holds
 just enough points that every retained mode comes out free of aliasing
 (the 3/2 rule for two full-band factors).  The mean and above-cutoff
 content of a product are discarded; on request they are reported, read
-on a grid that resolves the whole product.
+on a grid that resolves the whole product.  A square samples its factor
+once.  The grid rule and the transform back to modes are helpers that
+the paraproducts also call on factors they sampled ahead of time.
 """
 
 from __future__ import annotations
@@ -148,6 +150,35 @@ def physical_to_modes(values: np.ndarray, n_modes: int) -> np.ndarray:
     return np.ascontiguousarray(spec[..., 1:n_modes + 1])
 
 
+def _product_grid(ka: int, kb: int, n_modes: int,
+                  with_report: bool = False) -> tuple[int, int]:
+    """(grid length m, top) for the product of factors with ka and kb
+    modes, kept to modes 1..n_modes: the grid rule of ``product_modes``."""
+    top = min(n_modes, ka + kb)
+    need = max(ka + kb + top + 1, 2 * max(ka, kb) + 1)
+    if with_report:
+        need = max(need, 2 * (ka + kb) + 1)
+    return next_fast_len(need, real=True), top
+
+
+def _product_of_samples(pa: np.ndarray, pb: np.ndarray, m: int, top: int,
+                        n_modes: int, with_report: bool = False):
+    """Modes 1..n_modes of the product of two factors sampled on the
+    m-point grid that ``_product_grid`` gave for them."""
+    spec = np.fft.rfft(pa * pb, axis=-1)
+    spec /= m
+    if top == n_modes:
+        out = np.ascontiguousarray(spec[..., 1:top + 1])
+    else:
+        out = np.zeros(spec.shape[:-1] + (n_modes,), dtype=np.complex128)
+        out[..., :top] = spec[..., 1:top + 1]
+    if not with_report:
+        return out
+    zero = np.abs(spec[..., 0]) ** 2
+    high = 2.0 * np.sum(np.abs(spec[..., n_modes + 1:]) ** 2, axis=-1)
+    return out, (zero, high)
+
+
 def product_modes(a: np.ndarray, b: np.ndarray, n_modes: int,
                   with_report: bool = False):
     """Dealiased product of two mode arrays (batched over leading axes).
@@ -162,26 +193,12 @@ def product_modes(a: np.ndarray, b: np.ndarray, n_modes: int,
     has at least 2(ka + kb) + 1 points, so every product mode is exact,
     and the discarded (mean + above-cutoff) energy
     |c0|^2 + 2 sum_{k>N} |c_k|^2 is also returned per batch element.
+    A square (``b is a``) samples its factor once.
     """
-    ka, kb = a.shape[-1], b.shape[-1]
-    top = min(n_modes, ka + kb)
-    need = max(ka + kb + top + 1, 2 * max(ka, kb) + 1)
-    if with_report:
-        need = max(need, 2 * (ka + kb) + 1)
-    m = next_fast_len(need, real=True)
+    m, top = _product_grid(a.shape[-1], b.shape[-1], n_modes, with_report)
     pa = modes_to_physical(a, m)
-    pb = modes_to_physical(b, m)
-    spec = np.fft.rfft(pa * pb, axis=-1) / m
-    if top == n_modes:
-        out = np.ascontiguousarray(spec[..., 1:top + 1])
-    else:
-        out = np.zeros(spec.shape[:-1] + (n_modes,), dtype=np.complex128)
-        out[..., :top] = spec[..., 1:top + 1]
-    if not with_report:
-        return out
-    zero = np.abs(spec[..., 0]) ** 2
-    high = 2.0 * np.sum(np.abs(spec[..., n_modes + 1:]) ** 2, axis=-1)
-    return out, (zero, high)
+    pb = pa if b is a else modes_to_physical(b, m)
+    return _product_of_samples(pa, pb, m, top, n_modes, with_report)
 
 
 def pointwise_product(f: FourierField, g: FourierField,

@@ -11,7 +11,10 @@ modes, the lag kernel at full length, every row's block samples at
 once, and the max over every row's norm.  The fast routes must agree
 with them to roundoff on random inputs; the block sups and the solver
 norm must agree bit for bit, and so must the time average with
-scipy.signal.fftconvolve on the same cut kernel.
+scipy.signal.fftconvolve on the same cut kernel.  A pairing with one
+factor sampled ahead of time must equal, bit for bit, the same pairing
+formed one ``product_modes`` call per block, and a square must equal the
+product of its factor with a copy.
 """
 
 import math
@@ -20,6 +23,7 @@ import numpy as np
 import pytest
 
 import gfsb.besov
+import gfsb.spectral
 from gfsb.besov import (
     _OVERSAMPLE,
     DyadicPartition,
@@ -28,6 +32,7 @@ from gfsb.besov import (
     _block_sup_norms,
     _para_masks,
     _partition_weights,
+    _sample,
     modified_paraproduct,
     sobolev_norms,
 )
@@ -68,6 +73,27 @@ def full_bilinear(f, g, n_modes, which):
     for lo, window, blk in full_masks(n_modes):
         left = f * (lo if which == "lower" else window)
         acc = acc + full_grid_product(left, g * blk, n_modes)
+    return acc
+
+
+def blockwise_bilinear(f, g, n_modes, which):
+    """The pairing as one product_modes call per block, each call
+    sampling both of its factors."""
+    acc = np.zeros(np.broadcast_shapes(f.shape, g.shape), dtype=complex)
+    for lo, window, blk in _para_masks(n_modes):
+        left = lo if which == "lower" else window
+        if left.size:
+            acc += product_modes(f[..., :left.size] * left,
+                                 g[..., :blk.size] * blk, n_modes)
+    return acc
+
+
+def blockwise_modified_paraproduct(f, g, bank, n_modes):
+    acc = np.zeros_like(g)
+    for j, (lo, _, blk) in enumerate(_para_masks(n_modes), start=-1):
+        if lo.size:
+            left = bank.smooth(f[..., :lo.size] * lo, j)
+            acc += product_modes(left, g[..., :blk.size] * blk, n_modes)
     return acc
 
 
@@ -398,3 +424,110 @@ def test_w_sup_reads_every_row_when_bounds_tie_tight(rows_read):
                          ids=["all-zero", "sobolev-wins"])
 def test_w_sup_reads_no_row_under_the_sobolev_max(rows_read, modes):
     assert rows_read(modes, Grid(16, 2.0), 0.5) == 0
+
+
+# ------------------------------------------------ pre-sampled fixed factors
+
+SAMPLED_SHAPES = [(51, 128), (1001, 256), (40, 17), (5, 7)]
+
+
+def assert_same(fast, ref):
+    assert fast.dtype == ref.dtype and fast.shape == ref.shape
+    assert np.array_equal(fast, ref)
+
+
+@pytest.mark.parametrize("rows,n_modes", SAMPLED_SHAPES)
+@pytest.mark.parametrize("which", ["lower", "resonant"])
+def test_sampled_bilinear_is_bit_identical(rows, n_modes, which):
+    """The fixed factor on either side, and the plain route, against the
+    pairing formed one product_modes call per block."""
+    rng = np.random.default_rng(rows + n_modes)
+    f = random_modes(rng, (rows, n_modes))
+    g = random_modes(rng, (rows, n_modes))
+    ref = blockwise_bilinear(f, g, n_modes, which)
+    assert_same(_bilinear(f, g, n_modes, which), ref)
+    assert_same(_bilinear(_sample(f, n_modes, which, 0), g, n_modes, which),
+                ref)
+    assert_same(_bilinear(f, _sample(g, n_modes, which, 1), n_modes, which),
+                ref)
+
+
+@pytest.mark.parametrize("rows,n_modes", [(51, 128), (40, 17)])
+@pytest.mark.parametrize("side", [0, 1])
+def test_stacked_sampled_factor_pairs_each_slice(rows, n_modes, side):
+    """Two fixed factors stacked on a leading axis share the other
+    factor's transform and give each pairing bit for bit."""
+    rng = np.random.default_rng(rows * n_modes + side)
+    f = random_modes(rng, (rows, n_modes))
+    g = random_modes(rng, (rows, n_modes))
+    h = random_modes(rng, (rows, n_modes))
+    fixed = _sample(np.stack([g, h]), n_modes, "lower", side)
+    if side:
+        out = _bilinear(f, fixed, n_modes, "lower")
+        refs = [blockwise_bilinear(f, x, n_modes, "lower") for x in (g, h)]
+    else:
+        out = _bilinear(fixed, f, n_modes, "lower")
+        refs = [blockwise_bilinear(x, f, n_modes, "lower") for x in (g, h)]
+    assert_same(out, np.stack(refs))
+
+
+def test_sampled_factor_is_refused_elsewhere():
+    rng = np.random.default_rng(4)
+    f = random_modes(rng, (5, 16))
+    fixed = _sample(f, 16, "lower", 1)
+    for args in ((fixed, f, 16, "lower"), (f, fixed, 16, "resonant"),
+                 (f, fixed, 17, "lower")):
+        with pytest.raises(ValueError):
+            _bilinear(*args)
+    grid = Grid(16, 2.0)
+    traj = Trajectory(0.01 * np.arange(5), f, grid)
+    bank = TimeMollifierBank(dt=0.01, gamma=2.0)
+    with pytest.raises(ValueError):
+        modified_paraproduct(traj, _sample(traj, 16, "lower", 0), bank)
+
+
+@pytest.mark.parametrize("rows,n_modes", SAMPLED_SHAPES)
+def test_modified_paraproduct_with_sampled_q_is_bit_identical(rows,
+                                                              n_modes):
+    dt = 0.01
+    bank = TimeMollifierBank(dt=dt, gamma=2.0)
+    grid = Grid(n_modes, 2.0)
+    times = dt * np.arange(rows)
+    rng = np.random.default_rng(rows * n_modes)
+    f = random_modes(rng, (rows, n_modes))
+    q = Trajectory(times, random_modes(rng, (rows, n_modes)), grid)
+    ref = blockwise_modified_paraproduct(f, q.modes, bank, n_modes)
+    f_traj = Trajectory(times, f, grid)
+    plain = modified_paraproduct(f_traj, q, bank)
+    sampled = modified_paraproduct(f_traj, _sample(q, n_modes, "lower", 1),
+                                   bank)
+    assert_same(plain.modes, ref)
+    assert_same(sampled.modes, ref)
+    assert np.array_equal(sampled.times, times) and sampled.grid == grid
+
+
+@pytest.mark.parametrize("n_modes", [7, 128, 256])
+@pytest.mark.parametrize("batch", BATCHES)
+def test_square_samples_its_factor_once(n_modes, batch, monkeypatch):
+    rng = np.random.default_rng(9 * n_modes + len(batch))
+    a = random_modes(rng, batch + (n_modes,))
+    calls = []
+    full = gfsb.spectral.modes_to_physical
+
+    def spy(modes, n_points):
+        calls.append(n_points)
+        return full(modes, n_points)
+
+    monkeypatch.setattr(gfsb.spectral, "modes_to_physical", spy)
+    for report in (False, True):
+        calls.clear()
+        ref = product_modes(a, a.copy(), n_modes, with_report=report)
+        assert len(calls) == 2
+        calls.clear()
+        out = product_modes(a, a, n_modes, with_report=report)
+        assert len(calls) == 1
+        if report:
+            (out, out_energy), (ref, ref_energy) = out, ref
+            for x, y in zip(out_energy, ref_energy):
+                assert_same(x, y)
+        assert_same(out, ref)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import gfsb.solver
 from gfsb.besov import holder_norms, sobolev_norms
 from gfsb.errors import (
     BlowupDetected,
@@ -22,7 +23,6 @@ from gfsb.solver import (
     _w_values,
     build_enhanced_data,
     continuous_dependence_probe,
-    default_bundle,
     dependence_ladder,
     enhanced_difference,
     epsilon_convergence_study,
@@ -34,10 +34,10 @@ from gfsb.solver import (
     solve_subcritical,
     zero_enhanced_data,
 )
-from gfsb.spectral import FourierField, Grid
+from gfsb.spectral import FourierField, Grid, derivative_symbol
 from gfsb.trajectory import Trajectory
 from gfsb.construct import TreeTrajectory
-from gfsb.trees import RegularityParams
+from gfsb.trees import CoefficientMap, RegularityParams
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -166,16 +166,68 @@ def test_multi_slab_reconstruction_is_exact(slab_regime):
         assert all(f < 1.0 for f in slab["factors"])
 
 
+def test_slab_shrink_resamples_the_fixed_factors(slab_regime, monkeypatch):
+    """Sixteen sweeps cannot close a 100-step slab but close a 50-step
+    one, so the first two slabs are tried at 100 steps and halve.  Each
+    attempt samples the flow, the flow with its derivative, and Q on its
+    own horizon; samples kept from another attempt or slab would not
+    fit.  The solve must equal, bit for bit, the one that samples every
+    factor in every pairing, and still rebuild the direct solve.  The
+    derivative's lower pairing cancels against the closure term up to
+    roundoff, so only the recorded factors show which one was sampled."""
+    grid, cfg, u0, data, direct = slab_regime
+    sampled = []
+    sample = gfsb.solver._sample
+
+    def spy(factor, n_modes, which, side):
+        traj = isinstance(factor, Trajectory)
+        sampled.append(((which, side, traj), factor.modes if traj else factor))
+        return sample(factor, n_modes, which, side)
+
+    monkeypatch.setattr(gfsb.solver, "_sample", spy)
+    held = solve_paracontrolled(data, None, u0, t_end=0.15, tol=1e-12,
+                                max_iter=16)
+    stops = [slab["stop"] for slab in held.diagnostics["slabs"]]
+    assert stops == pytest.approx([0.05, 0.1, 0.15])
+
+    y = CoefficientMap.standard()["n"] * data.trees["n"].modes
+    dy = np.stack([y, derivative_symbol(grid) * y])
+    expected = {("lower", 0, False): y, ("resonant", 1, False): y,
+                ("lower", 1, False): dy, ("lower", 1, True): held.q.modes}
+    assert {key for key, _ in sampled} == set(expected)
+    for key, want in expected.items():
+        got = [modes for k, modes in sampled if k == key]
+        assert [modes.shape[-2] for modes in got] == [101, 51, 151, 101, 151]
+        for modes in got:
+            assert np.array_equal(modes, want[..., :modes.shape[-2], :])
+
+    monkeypatch.setattr(gfsb.solver, "_sample", lambda factor, *_: factor)
+    plain = solve_paracontrolled(data, None, u0, t_end=0.15, tol=1e-12,
+                                 max_iter=16)
+    for name in ("u_prime", "u_sharp", "u_q"):
+        assert np.array_equal(getattr(held, name).modes,
+                              getattr(plain, name).modes)
+    assert held.diagnostics["slabs"] == plain.diagnostics["slabs"]
+    assert _ct_l2(held.reconstruct(data).modes
+                  - direct.modes[:len(held.u_q)]) < 1e-9
+
+
 def test_closure_routes_agree_without_collapsing(slab_regime):
     grid, cfg, u0, data, _ = slab_regime
     exact = solve_paracontrolled(data, None, u0, tol=1e-12)
     fd = solve_paracontrolled(data, None, u0,
-                              operators=default_bundle("finite-difference"),
-                              tol=1e-12)
+                              closure_route="finite-difference", tol=1e-12)
     assert exact.diagnostics["closure_route"] == "exact"
     assert fd.diagnostics["closure_route"] == "finite-difference"
     gap = _ct_l2(exact.reconstruct(data).modes - fd.reconstruct(data).modes)
     assert 1e-12 < gap < 1e-3
+
+
+def test_unknown_closure_route_is_refused(slab_regime):
+    grid, cfg, u0, data, _ = slab_regime
+    for route in ("none", "Exact", ""):
+        with pytest.raises(ValidationError, match="closure route"):
+            solve_paracontrolled(data, None, u0, closure_route=route)
 
 
 # ----------------------------------------------------------- growth tools
