@@ -102,14 +102,6 @@ class DyadicPartition:
         rows, _ = _partition_weights(self.n_modes)
         object.__setattr__(self, "j_max", int(rows[-1]))
 
-    @classmethod
-    def for_grid(cls, grid: Grid) -> "DyadicPartition":
-        return cls(grid.n_modes)
-
-    @property
-    def block_count(self) -> int:
-        return self.j_max + 2  # blocks -1 .. j_max
-
     def weights(self, j: int) -> np.ndarray:
         if not (-1 <= j <= self.j_max):
             raise BlockOutOfRange(
@@ -129,11 +121,6 @@ class DyadicPartition:
 def lp_block(f: FourierField, j: int) -> FourierField:
     part = DyadicPartition(f.grid.n_modes)
     return FourierField(f.modes * part.weights(j), f.grid)
-
-
-def lowpass(f: FourierField, m: int) -> FourierField:
-    part = DyadicPartition(f.grid.n_modes)
-    return FourierField(f.modes * part.lowpass_weights(m), f.grid)
 
 
 # ---------------------------------------------------------------- paraproducts

@@ -12,11 +12,18 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__
 from .errors import GFSBError, TaskFailure, ValidationError
-from .harness import ExperimentSpec, emit_plot_data, load_spec, run
+from .harness import (
+    ExperimentSpec,
+    _complexes,
+    _resolve_parameters,
+    _u0_field,
+    emit_plot_data,
+    load_spec,
+    run,
+)
 from .noise import NoiseConfig, save_trajectory
 from .solver import (
     build_enhanced_data,
@@ -24,7 +31,7 @@ from .solver import (
     solve_paracontrolled,
     solve_subcritical,
 )
-from .spectral import FourierField, Grid
+from .spectral import Grid
 from .trees import (
     CoefficientMap,
     RegularityParams,
@@ -179,12 +186,15 @@ def verify_identities(n_modes, fields, out):
 # ------------------------------------------------------------------ solve
 
 
-_SOLVE_KEYS = {
-    "gamma": float, "beta": float, "epsilon": float, "n_modes": int,
-    "dt": float, "t_end": float, "seed": int, "tol": float,
-    "alpha": float, "b": float, "noise_scale": float,
-    "coeff_n": float, "coeff_lr": float, "coeff_rLlr": float,
-    "u0_modes": str,
+# name -> (cast, default), resolved like a study spec's parameters
+_SOLVE_SCHEMA = {
+    "gamma": (float, 1.75), "beta": (float, 0.5), "epsilon": (float, 0.0),
+    "n_modes": (int, 64), "dt": (float, 1e-3), "t_end": (float, 0.1),
+    "seed": (int, 0), "tol": (float, 1e-9), "alpha": (float, -0.2),
+    "b": (float, 0.5), "noise_scale": (float, 1.0),
+    "u0_modes": (_complexes, ()),
+    **{f"coeff_{key}": (float, value) for key, value
+       in CoefficientMap.standard().entries.items()},
 }
 
 
@@ -201,15 +211,10 @@ def _read_solve_config(path) -> dict:
     merged = {}
     for section in parser.sections():
         merged.update(parser[section])
-    out = {}
-    for key, raw in merged.items():
-        if key not in _SOLVE_KEYS:
-            raise click.UsageError(f"unknown solve config key {key!r}")
-        try:
-            out[key] = _SOLVE_KEYS[key](raw)
-        except ValueError:
-            raise click.UsageError(f"solve config key {key!r}: bad value {raw!r}")
-    return out
+    try:
+        return _resolve_parameters(_SOLVE_SCHEMA, merged, "the solve config")
+    except ValidationError as exc:
+        raise click.UsageError(str(exc))
 
 
 @main.command("solve")
@@ -224,20 +229,16 @@ def _read_solve_config(path) -> dict:
 def solve(mode, config_path, stride, out):
     """Integrate the flow and persist trajectory plus diagnostics."""
     raw = _read_solve_config(config_path)
-    cfg = NoiseConfig(gamma=raw.get("gamma", 1.75),
-                      epsilon=raw.get("epsilon", 0.0),
-                      seed=raw.get("seed", 0),
-                      dt=raw.get("dt", 1e-3),
-                      t_end=raw.get("t_end", 0.1),
-                      beta=raw.get("beta", 0.5),
-                      noise_scale=raw.get("noise_scale", 1.0))
-    grid = Grid(n_modes=raw.get("n_modes", 64), gamma=cfg.gamma)
-    u0_modes = np.zeros(grid.n_modes, dtype=np.complex128)
-    for i, tok in enumerate(raw.get("u0_modes", "").split(",")):
-        if tok.strip():
-            u0_modes[i] = complex(tok.strip().replace(" ", ""))
-    u0 = FourierField(u0_modes, grid)
-    tol = raw.get("tol", 1e-9)
+    try:
+        cfg = NoiseConfig(gamma=raw["gamma"], epsilon=raw["epsilon"],
+                          seed=raw["seed"], dt=raw["dt"], t_end=raw["t_end"],
+                          beta=raw["beta"], noise_scale=raw["noise_scale"])
+        grid = Grid(n_modes=raw["n_modes"], gamma=cfg.gamma)
+        u0 = _u0_field(raw["u0_modes"], grid)
+        params = RegularityParams(alpha=raw["alpha"], b=raw["b"])
+    except (GFSBError, ValueError) as exc:
+        raise click.UsageError(str(exc))
+    tol = raw["tol"]
     out_dir = Path(out) / mode
     try:
         if mode == "direct":
@@ -247,15 +248,9 @@ def solve(mode, config_path, stride, out):
                            "max_step_iterations":
                                traj.meta["max_step_iterations"]}
         else:
-            params = RegularityParams(alpha=raw.get("alpha", -0.2),
-                                      b=raw.get("b", 0.5))
-            coeffs = CoefficientMap.standard()
-            named = {k[len("coeff_"):]: v for k, v in raw.items()
-                     if k.startswith("coeff_")}
-            if named:
-                merged = {key: named.get(key, coeffs[key])
-                          for key in ("n", "lr", "rLlr")}
-                coeffs = CoefficientMap.from_dict(merged)
+            coeffs = CoefficientMap.from_dict(
+                {key[len("coeff_"):]: value for key, value in raw.items()
+                 if key.startswith("coeff_")})
             data = build_enhanced_data(cfg, grid, params)
             if mode == "subcritical":
                 state = solve_subcritical(data, coeffs, u0, tol=tol)

@@ -25,10 +25,6 @@ class GridMismatch(GFSBError):
     """Binary field operation on fields living on different grids."""
 
 
-class NegativeTime(GFSBError):
-    """Semigroup evaluated at t < 0."""
-
-
 class FormatError(GFSBError):
     """Corrupt or foreign binary snapshot."""
 

@@ -1,4 +1,5 @@
-"""Closed-form covariance kernels, Wick enumeration, and integral bounds.
+"""Closed-form covariance kernels, Wick enumeration, integral bounds,
+and the mode sums the construction relies on.
 
 Everything here is an analytic oracle: no sampling, no time stepping.
 The building block is the stationary per-mode covariance
@@ -15,6 +16,11 @@ evaluated in a cancellation-free form (the apparent pole at a = b is
 removable).  Bound operations return a BoundCheck carrying the measured
 witness, the claimed envelope, and their ratio; envelopes stated only up
 to a constant document the constant cap they are checked against.
+
+The mode sums come last: the third-pairing sums whose decay in m is
+-(4 gamma - 6) for gamma > 3/2, the cross-pair sums completed by their
+continuum tail, and the exponent of the power-law series, which
+converges exactly when that exponent sits below -1.
 """
 
 from __future__ import annotations
@@ -75,10 +81,6 @@ class PairingReport:
     odd: bool = False
     surviving: list = field(default_factory=list)  # labels P1.. of nonzero
 
-    def labelled(self) -> dict:
-        return {f"P{i + 1}": v for i, (_, v) in
-                enumerate(p for p in self.pairings if p[1] != 0.0)}
-
 
 def _matchings(indices):
     if not indices:
@@ -114,10 +116,6 @@ def wick_report(factors, pair_covariance) -> PairingReport:
     surviving = [f"P{rank + 1}" for rank, (_, v) in
                  enumerate(p for p in out if p[1] != 0.0)]
     return PairingReport(pairings=out, total=total, surviving=surviving)
-
-
-def wick_expectation(factors, pair_covariance) -> float:
-    return wick_report(factors, pair_covariance).total
 
 
 # ---------------------------------------------------- cross-exponential I1
@@ -167,16 +165,6 @@ def pair_kernel(k: int, j: int, kp: int, jp: int, t: float, s: float,
     weight = (coupling ** 2 * k * k
               * ou_variance(j, config) * ou_variance(k - j, config))
     return matches * weight * exp_cross_integral(a, b, abs(t - s))
-
-
-def pair_increment_kernel(k, j, kp, jp, t, s, gamma, config,
-                          coupling=DEFAULT_COUPLING) -> float:
-    """F(t,t) + F(s,s) - F(t,s) - F(s,t) for the same channel pair."""
-    args = (k, j, kp, jp)
-    return (pair_kernel(*args, t, t, gamma, config, coupling)
-            + pair_kernel(*args, s, s, gamma, config, coupling)
-            - pair_kernel(*args, t, s, gamma, config, coupling)
-            - pair_kernel(*args, s, t, gamma, config, coupling))
 
 
 def quadratic_tree_covariance(k: int, t: float, s: float,
@@ -474,19 +462,6 @@ def third_pairing_report(gamma: float, K: int,
 # ---------------------------------------------------------------- summability
 
 
-@dataclass
-class SummabilityReport:
-    series: str
-    cutoff: int
-    partials: dict            # cutoff -> raw partial sum
-    rho: float                # successive-difference ratio
-    tail_estimate: float
-    completed: float | None   # lattice partial + continuum tail
-    verdict: str              # "convergent" | "divergent"
-    tail_below_1pct: bool
-    extras: dict = field(default_factory=dict)
-
-
 def _cross_pair_partial(a: int, p: float, q: float, K: int) -> float:
     k = np.arange(-K, K + 1)
     k = k[(k != 0) & (k != a)].astype(float)
@@ -513,59 +488,22 @@ def _cross_pair_tail(a: int, p: float, q: float, K: int) -> float:
     return one_side(1) + one_side(-1)
 
 
-def summability_check(series: str, K: int, gamma: float | None = None,
-                      a: int = 8, exponents=(0.6, 0.5),
-                      a_prime: float = 0.05) -> SummabilityReport:
-    """Convergence audit of the mode sums the construction relies on.
-
-    series = "cross-pair": sum_{k != 0, a} |k-a|^{-p} |k|^{-q}; raw
-    partial sums converge slowly (the |k| ~ a shoulder decays only as a
-    power), so the report also carries the continuum-completed value
-    (lattice partial plus integral tail), which is the quantity stable
-    across cutoffs and across a.
-
-    series = "power-law": sum |k|^{4 - (10/3) gamma + 2 a'}; verdict
-    from the exponent against -1.
-    """
-    if K < 64:
-        raise DomainError(f"cutoff must be >= 64, got {K}")
-    grid = [K // 4, K // 2, K]
-    if series == "cross-pair":
-        p, q = exponents
-        partials = {kk: _cross_pair_partial(a, p, q, kk) for kk in grid}
-        extras = {}
-    elif series == "power-law":
-        if gamma is None:
-            raise DomainError("power-law series needs gamma")
-        expo = 4.0 - (10.0 / 3.0) * gamma + 2.0 * a_prime
-        k = np.arange(1, K + 1, dtype=float)
-        cum = 2.0 * np.cumsum(k ** expo)
-        partials = {kk: float(cum[kk - 1]) for kk in grid}
-        extras = {"exponent": expo}
-    else:
-        raise DomainError(f"unknown series {series!r}")
-
-    d1 = partials[grid[1]] - partials[grid[0]]
-    d2 = partials[grid[2]] - partials[grid[1]]
-    rho = d2 / d1 if d1 > 0 else 0.0
-    tail = d2 * rho / (1.0 - rho) if 0 <= rho < 1 else math.inf
-
-    if series == "power-law":
-        verdict = "convergent" if extras["exponent"] < -1.0 else "divergent"
-        completed = None
-    else:
-        verdict = "convergent" if rho < 0.98 else "divergent"
-        completed = partials[K] + _cross_pair_tail(a, p, q, K)
-    below = bool(tail < 0.01 * partials[K])
-    return SummabilityReport(series=series, cutoff=K, partials=partials,
-                             rho=rho, tail_estimate=tail,
-                             completed=completed, verdict=verdict,
-                             tail_below_1pct=below, extras=extras)
+def power_law_exponent(gamma: float, a_prime: float = 0.05) -> float:
+    """Exponent of the power-law series sum_k |k|^{4 - (10/3) gamma + 2 a'},
+    which converges exactly when it sits below -1."""
+    return 4.0 - (10.0 / 3.0) * gamma + 2.0 * a_prime
 
 
 def uniform_cross_pair_sup(exponents, K: int, a_values) -> dict:
-    """Completed cross-pair sums over a ladder of offsets a; their
-    max/min ratio is the uniformity measure."""
+    """Completed cross-pair sums sum_{k != 0, a} |k-a|^{-p} |k|^{-q} over
+    a ladder of offsets a; their max/min ratio is the uniformity measure.
+
+    The raw partial sums converge slowly (the |k| ~ a shoulder decays
+    only as a power), so each sum is completed by its continuum tail
+    beyond K, which makes it stable across cutoffs and across a.
+    """
+    if K < 64:
+        raise DomainError(f"cutoff must be >= 64, got {K}")
     p, q = exponents
     vals = {int(a): _cross_pair_partial(a, p, q, K)
             + _cross_pair_tail(a, p, q, K) for a in a_values}

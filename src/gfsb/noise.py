@@ -18,7 +18,6 @@ which is what makes pathwise width-comparison (coupling) exact.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import warnings
@@ -28,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    ConfigMismatch,
     GridMismatch,
     IncompleteManifest,
     UnresolvedMollifier,
@@ -151,16 +149,6 @@ def sample_Y_ensemble(config: NoiseConfig, grid: Grid, n_replicas: int,
         z = _normals(config.seed, base_purpose + r, shape)
         out[r] = _ou_path(config, grid, z)
     return out
-
-
-def couple_noise(config_a: NoiseConfig, config_b: NoiseConfig,
-                 grid: Grid):
-    """Two stationary trajectories driven by one underlying noise draw,
-    differing only through their mollification factors."""
-    if dataclasses.replace(config_a, epsilon=config_b.epsilon) != config_b:
-        raise ConfigMismatch(
-            "coupled configs may differ only in epsilon")
-    return sample_Y(config_a, grid), sample_Y(config_b, grid)
 
 
 # ---------------------------------------------------------------- persistence

@@ -12,7 +12,10 @@ common regime:
 * ``solve_paracontrolled`` iterates the coupled pair (u', u#): u' rides
   the time-smoothed paraproduct against the antiderivative Q of the
   differentiated forced flow, and u# collects every leftover of the
-  decomposition through three fixed closures of the rough products.
+  decomposition: the derivative of the low-high pairing of u' against
+  the flow, and two fixed closures of the rough products (the resonant
+  and high-low pairings with the flow of the cubic tree and of u' minus
+  its tree part).
   Its sweeps transform only what changes: the trees' share of the
   forcing, and the flow and Q sampled on every block grid, are formed
   once per slab attempt.
@@ -240,20 +243,6 @@ def solve_mollified(config: NoiseConfig, u0: FourierField,
         "mild_residual": residual, "max_step_iterations": worst})
 
 
-def nonlinearity_audit(traj: Trajectory,
-                       coupling: float = DEFAULT_COUPLING) -> dict:
-    """Transport pairing integral of u against c d/dx(u^2) at each node.
-
-    Zero on the torus for the true product; the dealiased discrete
-    product keeps it at roundoff because the truncation it drops is
-    orthogonal to every resolved mode.
-    """
-    g = bilinear_forcing(traj.modes, traj.modes, traj.grid, coupling)
-    vals = 4.0 * math.pi * np.abs(
-        np.real(np.sum(traj.modes * np.conj(g), axis=-1)))
-    return {"max_abs": float(np.max(vals)), "per_node": vals}
-
-
 # ------------------------------------------------------------ enhanced data
 
 
@@ -337,12 +326,20 @@ def build_enhanced_data(config: NoiseConfig, grid: Grid,
                         purpose: int = PURPOSE_STATIONARY,
                         recentered: bool = True) -> EnhancedData:
     """Sample the forced flow and wrap its tree hierarchy as solver input."""
-    base = sample_Y(config, grid, purpose)
+    return EnhancedData.build(
+        _tree_family(sample_Y(config, grid, purpose), coupling, recentered),
+        params)
+
+
+def _tree_family(base: Trajectory, coupling: float,
+                 recentered: bool) -> dict:
+    """The integrated trees of the forced flow ``base``, every one but
+    the generator recentred on request."""
     family = build_tree_family(base, coupling)
     if recentered:
         family = {k: (tree if k == GENERATOR_KEY else recenter(tree))
                   for k, tree in family.items()}
-    return EnhancedData.build(family, params)
+    return family
 
 
 def enhanced_difference(a: EnhancedData, b: EnhancedData) -> float:
@@ -397,6 +394,34 @@ def _next_slab_steps(info: dict, magnitude: float, delta: float,
     target = cm2 ** (-1.0 / expo)
     steps = int(round(min(_MAX_SLAB_TIME, target) / dt))
     return max(_MIN_SLAB_STEPS, steps)
+
+
+def _contract(step, cur, tol: float, max_iter: int):
+    """Iterate ``step`` from ``cur`` until a distance falls below tol.
+
+    ``step(cur)`` returns the next iterate and its distance from cur.
+    Returns the last iterate and the distances; raises _SlabDiverged
+    when a distance is not finite or exceeds 1e6 times the first, or
+    when max_iter steps do not reach tol.
+    """
+    dists = []
+    for _ in range(max_iter):
+        cur, d = step(cur)
+        dists.append(d)
+        if d < tol:
+            return cur, dists
+        if not math.isfinite(d) or d > 1e6 * (dists[0] + 1e-300):
+            raise _SlabDiverged(dists)
+    raise _SlabDiverged(dists)
+
+
+def _slab_info(times: np.ndarray, i0: int, steps: int, dists) -> dict:
+    """Diagnostics of an accepted slab: span, distances and the
+    contraction factors between successive distances."""
+    return {"start": float(times[i0]), "stop": float(times[i0 + steps]),
+            "iterations": len(dists), "distances": dists,
+            "factors": [dists[i + 1] / dists[i]
+                        for i in range(len(dists) - 1) if dists[i] > 0]}
 
 
 def _shrink_or_raise(steps: int, distances) -> int:
@@ -519,31 +544,18 @@ def solve_subcritical(data: EnhancedData, coefficients, u0: FourierField,
                 g = (bilinear_forcing(cur, cur, grid, coupling)
                      + bilinear_forcing(cur, drift_sl, grid, 2.0 * coupling)
                      + pair_sl)
-                return duhamel_scan(g, decay, weight, init=v[i0])
+                new = duhamel_scan(g, decay, weight, init=v[i0])
+                return new, _w_sup(new - cur, grid, s)
 
             rel = times[sl] - times[i0]
             try:
-                cur = _freeflow(v[i0], rates, rel)
-                dists = []
-                for _ in range(max_iter):
-                    new = sweep(cur)
-                    d = _w_sup(new - cur, grid, s)
-                    dists.append(d)
-                    cur = new
-                    if d < tol:
-                        break
-                    if not math.isfinite(d) or d > 1e6 * (dists[0] + 1e-300):
-                        raise _SlabDiverged(dists)
-                else:
-                    raise _SlabDiverged(dists)
+                cur, dists = _contract(sweep, _freeflow(v[i0], rates, rel),
+                                       tol, max_iter)
                 break
             except _SlabDiverged as fail:
                 steps = _shrink_or_raise(steps, fail.distances)
         v[sl] = cur
-        info = {"start": float(times[i0]), "stop": float(times[i0 + steps]),
-                "iterations": len(dists), "distances": dists,
-                "factors": [dists[i + 1] / dists[i]
-                            for i in range(len(dists) - 1) if dists[i] > 0]}
+        info = _slab_info(times, i0, steps, dists)
         slabs.append(info)
         sup = _w_sup(v[sl], grid, s)
         if sup > ceiling:
@@ -596,12 +608,11 @@ def solve_paracontrolled(data: EnhancedData, coefficients, u0: FourierField,
     Every sweep first refreshes u' from the structural identity
     u' = c(cubic) X + (u' time-smoothed-paraproduct Q) + u#, evaluated
     causally over the whole accepted horizon, then scans the sharp-part
-    forcing: the classical square and cross terms, the commutator of
-    the derivative with the low-high pairing against the flow, and the
-    three closures of the rough products (the cubic tree's resonant and
-    high-low pairings with the flow, the same pairings of u' minus its
-    tree part, and the low-high pairing of u' against the differentiated
-    flow).  ``closure_route`` selects how the minus-generator term on
+    forcing: the classical square and cross terms, the derivative of
+    the low-high pairing of u' against the flow, and the two closures
+    of the rough products (the cubic tree's resonant and high-low
+    pairings with the flow, and the same pairings of u' minus its tree
+    part).  ``closure_route`` selects how the minus-generator term on
     the time-smoothed paraproduct is re-integrated:
 
     * ``"exact"``: the scan of that part is replaced by the paraproduct
@@ -613,16 +624,15 @@ def solve_paracontrolled(data: EnhancedData, coefficients, u0: FourierField,
       every other term.
 
     What depends only on the trees is formed once per slab attempt: the
-    cubic closure, the square of the quadratic tree, and the flow, its
-    derivative and Q sampled on every block grid of the pairings they
-    enter, so a sweep transforms only the factors that change.  Blow-up
-    is monitored on the combined functional (u' at exponent s) + 2 (u#
-    at exponent 2s).
+    cubic closure, the square of the quadratic tree, and the flow and Q
+    sampled on every block grid of the pairings they enter, so a sweep
+    transforms only the factors that change.  Blow-up is monitored on
+    the combined functional (u' at exponent s) + 2 (u# at exponent 2s).
     """
     if closure_route not in ("exact", "finite-difference"):
         raise ValidationError(f"unknown closure route {closure_route!r}")
     params = data.params
-    if params.alpha + params.b <= 0:
+    if not params.gains_regularity:
         raise PreconditionViolated(
             "paracontrolled route needs alpha + b > 0, got "
             f"{params.alpha + params.b:.3g}")
@@ -678,10 +688,7 @@ def solve_paracontrolled(data: EnhancedData, coefficients, u0: FourierField,
                 y, xlr, xr = y_s[:hi], xlr_s[:hi], xr_s[:hi]
                 flow_low = _sample(y, n_mod, "lower", 0)
                 flow_res = _sample(y, n_mod, "resonant", 1)
-                # the flow and its derivative, stacked: one lower pairing
-                # gives u' against both
-                flow_blk = _sample(np.stack([y, deriv * y]), n_mod,
-                                   "lower", 1)
+                flow_blk = _sample(y, n_mod, "lower", 1)
                 q_blk = _sample(Trajectory(times[:hi], q_modes[:hi], grid),
                                 n_mod, "lower", 1)
                 tree_square = bilinear_forcing(xlr, xlr, grid, coupling)
@@ -689,9 +696,7 @@ def solve_paracontrolled(data: EnhancedData, coefficients, u0: FourierField,
                     _bilinear(xr, flow_res, n_mod, "resonant")
                     + _bilinear(flow_low, xr, n_mod, "lower"))
 
-                sharp_cur = _freeflow(u_sharp[i0], rates, rel)
-                dists = []
-                for _ in range(max_iter):
+                def sweep(sharp_cur):
                     sharp_full = np.concatenate(
                         [u_sharp[:i0], sharp_cur], axis=0)
                     para = smoothed_para(hi, q_blk)
@@ -699,19 +704,19 @@ def solve_paracontrolled(data: EnhancedData, coefficients, u0: FourierField,
                     d_prime = _w_sup(prime_new - u_prime[:hi], grid, s)
                     u_prime[:hi] = prime_new
                     uq = para + sharp_full
-                    low_y, low_dy = _bilinear(prime_new, flow_blk, n_mod,
-                                              "lower")
+                    # The commutator d lower(u', y) - lower(u', dy) and
+                    # the closure + lower(u', dy) sum to d lower(u', y).
                     rhs = (tree_square
                            + bilinear_forcing(xlr, prime_new, grid,
                                               2.0 * coupling)
                            + bilinear_forcing(prime_new, prime_new, grid,
                                               coupling)
-                           + 2.0 * coupling * (deriv * low_y - low_dy))
+                           + 2.0 * coupling * deriv * _bilinear(
+                               prime_new, flow_blk, n_mod, "lower"))
                     rhs = rhs + cubic
                     rhs = rhs + 2.0 * coupling * deriv * (
                         _bilinear(uq, flow_res, n_mod, "resonant")
                         + _bilinear(flow_low, uq, n_mod, "lower"))
-                    rhs = rhs + 2.0 * coupling * low_dy
                     if closure_route == "finite-difference":
                         rhs = rhs - (np.gradient(para, dt, axis=0)
                                      + rates * para)
@@ -721,24 +726,16 @@ def solve_paracontrolled(data: EnhancedData, coefficients, u0: FourierField,
                         sharp_new = sharp_new - (
                             para[i0:hi] - _freeflow(para[i0], rates, rel))
                     d_sharp = _w_sup(sharp_new - sharp_cur, grid, s)
-                    d = max(d_sharp, d_prime)
-                    dists.append(d)
-                    sharp_cur = sharp_new
-                    if d < tol:
-                        break
-                    if not math.isfinite(d) or d > 1e6 * (dists[0] + 1e-300):
-                        raise _SlabDiverged(dists)
-                else:
-                    raise _SlabDiverged(dists)
+                    return sharp_new, max(d_sharp, d_prime)
+
+                sharp_cur, dists = _contract(
+                    sweep, _freeflow(u_sharp[i0], rates, rel), tol, max_iter)
                 break
             except _SlabDiverged as fail:
                 u_prime = prime_before
                 steps = _shrink_or_raise(steps, fail.distances)
         u_sharp[i0:i0 + steps + 1] = sharp_cur
-        info = {"start": float(times[i0]), "stop": float(times[i0 + steps]),
-                "iterations": len(dists), "distances": dists,
-                "factors": [dists[i + 1] / dists[i]
-                            for i in range(len(dists) - 1) if dists[i] > 0]}
+        info = _slab_info(times, i0, steps, dists)
         slabs.append(info)
         functional = (_w_sup(u_prime[i0:i0 + steps + 1], grid, s)
                       + 2.0 * _w_sup(u_sharp[i0:i0 + steps + 1], grid,
@@ -969,11 +966,8 @@ def epsilon_convergence_study(configs, seeds, u0: FourierField,
             cfg_s = dataclasses.replace(cfg, seed=int(seed))
             sols.append(solve_mollified(cfg_s, u0, t_end,
                                         coupling=coupling).modes)
-            base = sample_Y(_rounded_config(cfg_s, t_end), grid)
-            fam = build_tree_family(base, coupling)
-            if recentered:
-                fam = {k: (tr if k == GENERATOR_KEY else recenter(tr))
-                       for k, tr in fam.items()}
+            fam = _tree_family(sample_Y(_rounded_config(cfg_s, t_end), grid),
+                               coupling, recentered)
             families.append({k: tr.modes for k, tr in fam.items()})
         for m in range(len(configs) - 1):
             sol_diffs[i, m] = ct_norm(sols[m] - sols[m + 1])

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import next_fast_len
 
-from .errors import FormatError, GridMismatch, NegativeTime
+from .errors import FormatError, GridMismatch
 
 TWO_PI = 2.0 * math.pi
 
@@ -217,46 +217,9 @@ def pointwise_product(f: FourierField, g: FourierField,
 # ---------------------------------------------------------------- multipliers
 
 
-def _apply(f: FourierField, mult: np.ndarray) -> FourierField:
-    return FourierField(f.modes * mult, f.grid)
-
-
-def laplacian_symbol(grid: Grid, gamma: float) -> np.ndarray:
-    """Multiplier of the fractional dissipation: -|k|^gamma."""
-    return -grid.wavenumbers ** gamma
-
-
-def apply_fractional_laplacian(f: FourierField, gamma: float) -> FourierField:
-    if not (1.0 < gamma <= 2.0):
-        raise ValueError(f"gamma must lie in (1, 2], got {gamma}")
-    return _apply(f, laplacian_symbol(f.grid, gamma))
-
-
-def apply_fractional_derivative(f: FourierField, beta: float) -> FourierField:
-    """|D|^beta: even multiplier |k|^beta."""
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    return _apply(f, f.grid.wavenumbers ** beta)
-
-
 def derivative_symbol(grid: Grid) -> np.ndarray:
     """Multiplier of d/dx on the stored (positive) modes."""
     return 1j * grid.wavenumbers * (TWO_PI / grid.domain_length)
-
-
-def apply_derivative(f: FourierField) -> FourierField:
-    return _apply(f, derivative_symbol(f.grid))
-
-
-def semigroup_factors(grid: Grid, t: float, gamma: float) -> np.ndarray:
-    if t < 0:
-        raise NegativeTime(f"semigroup needs t >= 0, got {t}")
-    return np.exp(-t * grid.wavenumbers ** gamma)
-
-
-def semigroup(f: FourierField, t: float, gamma: float) -> FourierField:
-    """Heat flow of the fractional dissipation: factor e^{-t |k|^gamma}."""
-    return _apply(f, semigroup_factors(f.grid, t, gamma))
 
 
 # ---------------------------------------------------------------- mollifier
@@ -272,42 +235,28 @@ def bump_profile(y: np.ndarray) -> np.ndarray:
     return out
 
 
-_PROFILES = {"bump": (bump_profile, 1.0)}
-
-
 @dataclass(frozen=True)
 class Mollifier:
-    """Spectral cutoff phi(eps k); eps = 0 means no mollification."""
+    """Spectral cutoff phi(eps k) with phi the bump, which vanishes from
+    |eps k| = 1 on; eps = 0 means no mollification."""
 
     epsilon: float
-    profile: str = "bump"
 
     def __post_init__(self):
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
-        if self.profile not in _PROFILES:
-            raise ValueError(f"unknown profile {self.profile!r}")
-
-    @property
-    def support_radius(self) -> float:
-        return _PROFILES[self.profile][1]
 
     def factors(self, k: np.ndarray) -> np.ndarray:
         """phi(eps k) on an array of wavenumbers."""
         if self.epsilon == 0.0:
             return np.ones_like(np.asarray(k, dtype=float))
-        fn = _PROFILES[self.profile][0]
-        return fn(self.epsilon * np.asarray(k, dtype=float))
+        return bump_profile(self.epsilon * np.asarray(k, dtype=float))
 
     def resolved_by(self, grid: Grid) -> bool:
         """True when every mode inside the support is carried by the grid."""
         if self.epsilon == 0.0:
             return True
-        return grid.n_modes >= self.support_radius / self.epsilon
-
-
-def mollify(f: FourierField, m: Mollifier) -> FourierField:
-    return _apply(f, m.factors(f.grid.wavenumbers))
+        return grid.n_modes >= 1.0 / self.epsilon
 
 
 # ---------------------------------------------------------------- snapshots
@@ -344,10 +293,3 @@ def read_snapshot(path):
     modes = body[0::2] + 1j * body[1::2]
     return FourierField(modes, Grid(n, gamma)), beta
 
-
-def field_to_csv(f: FourierField, path) -> None:
-    """Rows (k, re, im)."""
-    with open(path, "w") as fh:
-        fh.write("k,re,im\n")
-        for k, c in zip(range(1, f.grid.n_modes + 1), f.modes):
-            fh.write(f"{k},{float(c.real)!r},{float(c.imag)!r}\n")

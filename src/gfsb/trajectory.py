@@ -60,21 +60,6 @@ class Trajectory:
     def field(self, i: int) -> FourierField:
         return FourierField(self.modes[i].copy(), self.grid)
 
-    @property
-    def final(self) -> FourierField:
-        return self.field(len(self) - 1)
-
-    def index_of(self, t: float) -> int:
-        """Index of the node matching t (to within a 1e-9 window)."""
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise TimeGridMismatch(f"time {t} is not a grid node")
-        return i
-
-    def restrict(self, start: int, stop: int | None = None) -> "Trajectory":
-        return Trajectory(self.times[start:stop], self.modes[start:stop],
-                          self.grid)
-
     # ------------------------------------------------------------ arithmetic
 
     def _check(self, other: "Trajectory"):
@@ -96,9 +81,3 @@ class Trajectory:
         return Trajectory(self.times, self.modes * scalar, self.grid)
 
     __rmul__ = __mul__
-
-    @classmethod
-    def constant(cls, times, f: FourierField) -> "Trajectory":
-        times = np.asarray(times, dtype=float)
-        return cls(times, np.broadcast_to(f.modes, (len(times),
-                   f.grid.n_modes)).copy(), f.grid)

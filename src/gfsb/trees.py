@@ -32,9 +32,8 @@ _NAMED_PRODUCTS = {
 class TreeSymbol:
     """Immutable tree symbol with a commutativity-normalized key.
 
-    Do not call the constructor directly; use :func:`unit`,
-    :func:`generator` and :func:`product` (or :func:`parse_symbol`),
-    which canonicalize.
+    Do not call the constructor directly; use :func:`parse_symbol`
+    and :func:`product`, which canonicalize.
     """
 
     kind: str                      # "unit" | "gen" | "prod"
@@ -59,14 +58,6 @@ class TreeSymbol:
 
 _UNIT = TreeSymbol("unit", (), UNIT_KEY)
 _GEN = TreeSymbol("gen", (), GENERATOR_KEY)
-
-
-def unit() -> TreeSymbol:
-    return _UNIT
-
-
-def generator() -> TreeSymbol:
-    return _GEN
 
 
 def product(a: TreeSymbol, b: TreeSymbol) -> TreeSymbol:

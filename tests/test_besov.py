@@ -13,7 +13,6 @@ from gfsb.besov import (
     _block_sup_norms,
     bony_decomposition,
     holder_norms,
-    lowpass,
     lp_block,
     modified_paraproduct,
     paraproduct_lower,
@@ -22,7 +21,7 @@ from gfsb.besov import (
     sobolev_norms,
 )
 from gfsb.errors import BlockOutOfRange, GridMismatch, TimeGridMismatch
-from gfsb.spectral import FourierField, Grid, pointwise_product, semigroup
+from gfsb.spectral import FourierField, Grid, pointwise_product
 from gfsb.trajectory import Trajectory
 
 G16 = Grid(16, 2.0)
@@ -83,12 +82,11 @@ def test_block_out_of_range():
 
 def test_lowpass_is_strictly_below():
     # S_m sums blocks i <= m-1: mode 1 lives in blocks {-1, 0}
-    f = FourierField.pure_mode(G16, 1, 1.0)
     part = DyadicPartition(16)
     w_m1 = part.weights(-1)[0]
-    assert lowpass(f, 0).modes[0] == pytest.approx(w_m1)   # block -1 only
-    assert lowpass(f, 1).modes[0] == pytest.approx(1.0)    # blocks -1, 0
-    assert np.all(lowpass(f, -1).modes == 0)               # empty sum
+    assert part.lowpass_weights(0)[0] == pytest.approx(w_m1)  # block -1
+    assert part.lowpass_weights(1)[0] == pytest.approx(1.0)   # blocks -1, 0
+    assert np.all(part.lowpass_weights(-1) == 0)              # empty sum
 
 
 # ----------------------------------------------------------------- paraproducts
@@ -263,7 +261,7 @@ def test_commutator_shrinks_under_time_refinement():
         bank = TimeMollifierBank(dt=dt, gamma=2.0)
         times = np.arange(0, int(round(0.5 / dt)) + 1) * dt
         fm = np.array([(0.3 + t ** 0.6) * F.modes for t in times])
-        gm = np.array([semigroup(G, t, 2.0).modes for t in times])
+        gm = np.exp(-np.outer(times, grid.wavenumbers ** 2.0)) * G.modes
         out = modified_paraproduct(Trajectory(times, fm, grid),
                                    Trajectory(times, gm, grid), bank)
         prec = np.array([paraproduct_lower(

@@ -11,6 +11,7 @@ from scipy import integrate
 from gfsb.errors import DomainError, ZeroModeK
 from gfsb.kernels import (
     BoundCheck,
+    _cross_pair_partial,
     exp_cross_integral,
     exp_difference_bound,
     five_exp_bound,
@@ -20,17 +21,15 @@ from gfsb.kernels import (
     ou_covariance,
     ou_pair_covariance,
     ou_variance,
-    pair_increment_kernel,
     pair_kernel,
+    power_law_exponent,
     quadratic_tree_covariance,
     segment_exp_bound,
     smoothed_cross_bound,
-    summability_check,
     third_pairing_report,
     third_pairing_sum,
     third_pairing_value,
     uniform_cross_pair_sup,
-    wick_expectation,
     wick_report,
 )
 from gfsb.noise import NoiseConfig, sample_Y
@@ -73,9 +72,9 @@ def test_ou_covariance_decay():
 
 def test_wick_counts_match_double_factorials():
     unit = lambda f, g: 1.0
-    assert wick_expectation([0] * 4, unit) == pytest.approx(3.0)
-    assert wick_expectation([0] * 6, unit) == pytest.approx(15.0)
-    assert wick_expectation([0] * 8, unit) == pytest.approx(105.0)
+    assert wick_report([0] * 4, unit).total == pytest.approx(3.0)
+    assert wick_report([0] * 6, unit).total == pytest.approx(15.0)
+    assert wick_report([0] * 8, unit).total == pytest.approx(105.0)
 
 
 def test_wick_odd_moment_flag():
@@ -95,13 +94,13 @@ def test_wick_same_mode_fourth_moment():
     cov = ou_pair_covariance(CFG)
     factors = [(1, 0.0), (-1, 0.0), (1, 0.0), (-1, 0.0)]
     # two surviving matchings of equal value
-    assert wick_expectation(factors, cov) == pytest.approx(
+    assert wick_report(factors, cov).total == pytest.approx(
         2 * ou_variance(1, CFG) ** 2)
 
 
 def test_wick_time_separation():
     cov = ou_pair_covariance(CFG)
-    val = wick_expectation([(3, 0.5), (-3, 0.0)], cov)
+    val = wick_report([(3, 0.5), (-3, 0.0)], cov).total
     assert val == pytest.approx(ou_covariance(3, 0.5, 0.0, CFG))
 
 
@@ -119,13 +118,13 @@ def test_wick_against_monte_carlo_moments():
 
     prod4 = np.real(samples[:, 0] * np.conj(samples[:, 0])
                     * samples[:, 1] * np.conj(samples[:, 1]))
-    want4 = wick_expectation([(1, 0.0), (-1, 0.0), (2, 0.0), (-2, 0.0)], cov)
+    want4 = wick_report([(1, 0.0), (-1, 0.0), (2, 0.0), (-2, 0.0)], cov).total
     se4 = prod4.std(ddof=1) / math.sqrt(R)
     assert abs(prod4.mean() - want4) < 3 * se4
 
     prod6 = prod4 * np.real(samples[:, 2] * np.conj(samples[:, 2]))
-    want6 = wick_expectation([(1, 0.0), (-1, 0.0), (2, 0.0), (-2, 0.0),
-                              (3, 0.0), (-3, 0.0)], cov)
+    want6 = wick_report([(1, 0.0), (-1, 0.0), (2, 0.0), (-2, 0.0),
+                         (3, 0.0), (-3, 0.0)], cov).total
     se6 = prod6.std(ddof=1) / math.sqrt(R)
     assert abs(prod6.mean() - want6) < 3 * se6
 
@@ -202,21 +201,6 @@ def test_pair_kernel_coincident_partner_doubles():
         2 ** 1.6, 2.0, 0.3)
     del base
     assert one == pytest.approx(want, rel=1e-12)
-
-
-def test_pair_increment_kernel_vanishes_at_equal_times():
-    assert pair_increment_kernel(2, 1, -2, -1, 0.5, 0.5, 1.6, CFG) == 0.0
-
-
-def test_pair_increment_kernel_assembles_four_corners():
-    args = (3, 1, -3, -1)
-    t, s = 0.8, 0.3
-    want = (pair_kernel(*args, t, t, 1.6, CFG)
-            + pair_kernel(*args, s, s, 1.6, CFG)
-            - 2 * pair_kernel(*args, t, s, 1.6, CFG))
-    got = pair_increment_kernel(*args, t, s, 1.6, CFG)
-    assert got == pytest.approx(want, rel=1e-12)
-    assert got > 0
 
 
 def test_quadratic_tree_covariance_matches_channel_sum():
@@ -463,17 +447,16 @@ def test_third_pairing_sum_domain():
 
 
 def test_summability_cross_pair_frozen():
-    rep = summability_check("cross-pair", 4096, a=8, exponents=(0.6, 0.5))
-    assert rep.partials[4096] == pytest.approx(10.930928, rel=1e-6)
-    assert rep.rho == pytest.approx(0.93320, abs=2e-4)
-    assert rep.completed == pytest.approx(19.63632781, rel=1e-8)
-    assert rep.verdict == "convergent"
-    assert not rep.tail_below_1pct  # raw tail is a slow power law
+    assert _cross_pair_partial(8, 0.6, 0.5, 4096) == pytest.approx(
+        10.930928, rel=1e-6)
+    sup = uniform_cross_pair_sup((0.6, 0.5), 4096, [8])
+    assert sup["values"][8] == pytest.approx(19.63632781, rel=1e-8)
+    assert sup["max_min_ratio"] == 1.0
 
 
 def test_summability_completion_stable_across_cutoffs():
-    c1 = summability_check("cross-pair", 4096, a=8).completed
-    c2 = summability_check("cross-pair", 16384, a=8).completed
+    c1 = uniform_cross_pair_sup((0.6, 0.5), 4096, [8])["values"][8]
+    c2 = uniform_cross_pair_sup((0.6, 0.5), 16384, [8])["values"][8]
     assert c1 == pytest.approx(c2, abs=1e-7)
 
 
@@ -485,18 +468,12 @@ def test_summability_uniform_over_offsets():
 
 
 def test_summability_power_law_verdicts():
-    conv = summability_check("power-law", 256, gamma=1.6, a_prime=0.05)
-    assert conv.extras["exponent"] == pytest.approx(-1.23333, abs=1e-5)
-    assert conv.verdict == "convergent"
-    div = summability_check("power-law", 256, gamma=1.2, a_prime=0.05)
-    assert div.extras["exponent"] == pytest.approx(0.1, abs=1e-12)
-    assert div.verdict == "divergent"
+    assert power_law_exponent(1.6, 0.05) == pytest.approx(-1.23333, abs=1e-5)
+    assert power_law_exponent(1.6, 0.05) < -1.0
+    assert power_law_exponent(1.2, 0.05) == pytest.approx(0.1, abs=1e-12)
+    assert power_law_exponent(1.2, 0.05) > -1.0
 
 
 def test_summability_domain():
     with pytest.raises(DomainError):
-        summability_check("cross-pair", 32)
-    with pytest.raises(DomainError):
-        summability_check("power-law", 256)  # needs gamma
-    with pytest.raises(DomainError):
-        summability_check("no-such-series", 256)
+        uniform_cross_pair_sup((0.6, 0.5), 32, [8])

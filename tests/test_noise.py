@@ -20,14 +20,14 @@ from gfsb.noise import (
     _normals,
     _ou_path,
     check_grid,
-    couple_noise,
     load_trajectory,
     sample_Y,
     sample_Y_ensemble,
     save_trajectory,
     stationary_sigma,
 )
-from gfsb.spectral import Grid
+from gfsb.solver import epsilon_convergence_study
+from gfsb.spectral import FourierField, Grid
 
 CFG = NoiseConfig(gamma=2.0, epsilon=0.0, seed=42, dt=0.01, t_end=0.1)
 G8 = Grid(8, 2.0)
@@ -171,19 +171,22 @@ def test_reproducibility_bit_exact():
 
 
 # ----------------------------------------------------------------- coupling
+#
+# Configs that differ only in epsilon share their normals, so sampling
+# both with sample_Y couples them; epsilon_convergence_study relies on it.
 
 
 def test_couple_equal_widths_identical():
     cfg = dataclasses.replace(CFG, epsilon=0.25)
-    a, b = couple_noise(cfg, cfg, G8)
-    np.testing.assert_array_equal(a.modes, b.modes)
+    np.testing.assert_array_equal(sample_Y(cfg, G8).modes,
+                                  sample_Y(cfg, G8).modes)
 
 
 def test_couple_rejects_other_differences():
     cfg_a = dataclasses.replace(CFG, epsilon=0.25)
     cfg_b = dataclasses.replace(CFG, epsilon=0.125, seed=99)
     with pytest.raises(ConfigMismatch):
-        couple_noise(cfg_a, cfg_b, G8)
+        epsilon_convergence_study([cfg_a, cfg_b], [0], FourierField.zero(G8))
 
 
 def test_couple_shared_support_agreement():
@@ -191,7 +194,7 @@ def test_couple_shared_support_agreement():
     draws differ only by the mollifier ratio."""
     cfg_a = dataclasses.replace(CFG, epsilon=0.5)    # support k < 2
     cfg_b = dataclasses.replace(CFG, epsilon=0.25)   # support k < 4
-    a, b = couple_noise(cfg_a, cfg_b, G8)
+    a, b = sample_Y(cfg_a, G8), sample_Y(cfg_b, G8)
     assert np.all(a.modes[:, 1:] == 0)   # k >= 2 dead under eps = 1/2
     assert np.all(b.modes[:, 3:] == 0)
     fac_a = cfg_a.mollifier().factors(np.array([1.0]))[0]
@@ -210,7 +213,7 @@ def test_couple_cauchy_differences_shrink():
             ca = NoiseConfig(gamma=1.6, epsilon=eps, seed=seed,
                              dt=0.002, t_end=0.2)
             cb = dataclasses.replace(ca, epsilon=eps / 2)
-            a, b = couple_noise(ca, cb, grid)
+            a, b = sample_Y(ca, grid), sample_Y(cb, grid)
             diff = b - a
             worst = float(np.max(sobolev_norms(diff.modes[::10], grid,
                                                -0.3)))

@@ -28,15 +28,14 @@ from gfsb.solver import (
     epsilon_convergence_study,
     gronwall_envelope,
     mittag_leffler,
-    nonlinearity_audit,
     solve_mollified,
     solve_paracontrolled,
     solve_subcritical,
     zero_enhanced_data,
 )
-from gfsb.spectral import FourierField, Grid, derivative_symbol
+from gfsb.spectral import FourierField, Grid
 from gfsb.trajectory import Trajectory
-from gfsb.construct import TreeTrajectory
+from gfsb.construct import TreeTrajectory, bilinear_forcing
 from gfsb.trees import CoefficientMap, RegularityParams
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -125,7 +124,11 @@ def test_transport_pairing_stays_at_roundoff():
     cfg = NoiseConfig(gamma=2.0, epsilon=0.0, seed=0, dt=1e-3, t_end=0.1,
                       noise_scale=0.0)
     traj = solve_mollified(cfg, _u0(grid, (0.08 - 0.02j, 0.03 + 0.01j)))
-    assert nonlinearity_audit(traj)["max_abs"] < 1e-10
+    # the integral of u against c d/dx(u^2) vanishes on the torus, and the
+    # dealiased product drops only modes orthogonal to every resolved one
+    g = bilinear_forcing(traj.modes, traj.modes, grid)
+    pairing = 4.0 * math.pi * np.real(np.sum(traj.modes * np.conj(g), axis=-1))
+    assert np.max(np.abs(pairing)) < 1e-10
 
 
 def test_unconverged_implicit_step_raises():
@@ -169,12 +172,10 @@ def test_multi_slab_reconstruction_is_exact(slab_regime):
 def test_slab_shrink_resamples_the_fixed_factors(slab_regime, monkeypatch):
     """Sixteen sweeps cannot close a 100-step slab but close a 50-step
     one, so the first two slabs are tried at 100 steps and halve.  Each
-    attempt samples the flow, the flow with its derivative, and Q on its
-    own horizon; samples kept from another attempt or slab would not
+    attempt samples the flow on both sides of its pairings, and Q, on
+    its own horizon; samples kept from another attempt or slab would not
     fit.  The solve must equal, bit for bit, the one that samples every
-    factor in every pairing, and still rebuild the direct solve.  The
-    derivative's lower pairing cancels against the closure term up to
-    roundoff, so only the recorded factors show which one was sampled."""
+    factor in every pairing, and still rebuild the direct solve."""
     grid, cfg, u0, data, direct = slab_regime
     sampled = []
     sample = gfsb.solver._sample
@@ -191,9 +192,8 @@ def test_slab_shrink_resamples_the_fixed_factors(slab_regime, monkeypatch):
     assert stops == pytest.approx([0.05, 0.1, 0.15])
 
     y = CoefficientMap.standard()["n"] * data.trees["n"].modes
-    dy = np.stack([y, derivative_symbol(grid) * y])
     expected = {("lower", 0, False): y, ("resonant", 1, False): y,
-                ("lower", 1, False): dy, ("lower", 1, True): held.q.modes}
+                ("lower", 1, False): y, ("lower", 1, True): held.q.modes}
     assert {key for key, _ in sampled} == set(expected)
     for key, want in expected.items():
         got = [modes for k, modes in sampled if k == key]
@@ -221,6 +221,25 @@ def test_closure_routes_agree_without_collapsing(slab_regime):
     assert fd.diagnostics["closure_route"] == "finite-difference"
     gap = _ct_l2(exact.reconstruct(data).modes - fd.reconstruct(data).modes)
     assert 1e-12 < gap < 1e-3
+
+
+def test_contract_stops_below_tol_or_raises():
+    """The shared Picard loop keeps the iterate whose distance first
+    falls below tol, and gives up on growth past 1e6 times the first
+    distance, on a non-finite distance, or after max_iter steps."""
+    contract, diverged = gfsb.solver._contract, gfsb.solver._SlabDiverged
+
+    def halve(x):
+        return x / 2, x / 2
+
+    assert contract(halve, 1.0, 0.1, 10) == (0.0625, [0.5, 0.25, 0.125,
+                                                      0.0625])
+    for step, want in ((lambda x: (10.0 * x, 10.0 * x), 8),
+                       (lambda x: (x, math.nan), 1),
+                       (halve, 20)):
+        with pytest.raises(diverged) as fail:
+            contract(step, 1.0, 1e-9, 20)
+        assert len(fail.value.distances) == want
 
 
 def test_unknown_closure_route_is_refused(slab_regime):

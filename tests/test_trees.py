@@ -5,13 +5,13 @@ from gfsb.errors import PreconditionViolated, UnitSymbol
 from gfsb.trees import (
     CoefficientMap,
     RegularityParams,
+    GENERATOR_KEY,
+    UNIT_KEY,
     generate_regular_subset,
-    generator,
     parse_symbol,
     product,
     regular_set,
     regularity,
-    unit,
     verify_regularity_floor,
 )
 
@@ -26,14 +26,14 @@ def sym(key):
 
 
 def test_unit_is_neutral():
-    n = generator()
-    assert product(unit(), n) is n
-    assert product(n, unit()) is n
-    assert (unit() * sym("lr")).canonical_key == "lr"
+    n = sym(GENERATOR_KEY)
+    assert product(sym(UNIT_KEY), n) is n
+    assert product(n, sym(UNIT_KEY)) is n
+    assert (sym(UNIT_KEY) * sym("lr")).canonical_key == "lr"
 
 
 def test_named_keys():
-    n = generator()
+    n = sym(GENERATOR_KEY)
     assert n.canonical_key == "n"
     assert (n * n).canonical_key == "lr"
     assert ((n * n) * n).canonical_key == "rLlr"
@@ -45,7 +45,8 @@ def test_structural_keys_sorted():
     assert (lr * lr).canonical_key == "(lr*lr)"
     r = sym("rLlr")
     # four leaves, orientation-independent
-    assert (r * generator()).canonical_key == (generator() * r).canonical_key
+    n = sym(GENERATOR_KEY)
+    assert (r * n).canonical_key == (n * r).canonical_key
 
 
 def test_parse_roundtrip():
@@ -57,7 +58,7 @@ def test_parse_roundtrip():
 
 
 def test_regularity_base_case():
-    assert regularity(generator(), P) == pytest.approx(-0.2)
+    assert regularity(sym(GENERATOR_KEY), P) == pytest.approx(-0.2)
 
 
 def test_regularity_two_leaves():
@@ -72,7 +73,7 @@ def test_regularity_three_leaves():
 
 def test_regularity_unit_raises():
     with pytest.raises(UnitSymbol):
-        regularity(unit(), P)
+        regularity(sym(UNIT_KEY), P)
 
 
 def test_params_flags():
@@ -224,7 +225,7 @@ def test_coefficient_map_from_dict():
 @st.composite
 def symbols(draw, max_depth=4):
     if max_depth == 0 or draw(st.booleans()):
-        return generator()
+        return sym(GENERATOR_KEY)
     return product(draw(symbols(max_depth=max_depth - 1)),
                    draw(symbols(max_depth=max_depth - 1)))
 
