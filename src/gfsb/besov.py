@@ -13,12 +13,12 @@ The time-smoothed variant replaces the low-pass factor with a causal
 moving average whose memory shrinks like 2^(-gamma*i) with the block
 index, mirroring the dissipation time-scale of that frequency band.
 
-A factor that stays fixed across many pairings (a solver's forced flow,
-or Q) can be passed as ``_sample(modes, n_modes, which, side)``: each of
-its masked blocks is sampled once on the grid that block's product uses,
-and a pairing then transforms only its other factor, one block at a
-time.  Grids and transforms are ``product_modes``' own, so both routes
-give the same sums bit for bit.
+Q, the fixed block-side factor of the paracontrolled solver's
+time-smoothed paraproduct, can be passed as ``_sample(q, n_modes)``:
+each of its masked blocks is sampled once on the grid that block's
+product uses, and ``modified_paraproduct`` then transforms only its
+smoothed factor.  Grids and transforms are ``product_modes``' own, so
+both routes give the same sums bit for bit.
 
 The solvers' contraction norm on C^s cap H^s is the max of two row-wise
 reads, both kept here so that every caller shares one definition:
@@ -169,50 +169,23 @@ def _pair_grids(n_modes: int, lower: bool):
 
 @dataclass(frozen=True, eq=False)
 class _Sampled:
-    """A fixed factor of a pairing, held as its masked blocks sampled on
-    their product grids: ``blocks[i]`` belongs to entry i of
-    ``_pair_grids(n_modes, lower)``, and ``side`` is 0 for the low-pass
-    (or window) side and 1 for the block side.  ``shape`` is that of the
-    sampled mode array; a sampled Trajectory is kept for its times."""
+    """Q held as its masked blocks sampled on their product grids:
+    ``blocks[i]`` belongs to entry i of ``_pair_grids(n_modes, True)``,
+    and the sampled Trajectory is kept for its times and grid."""
 
-    shape: tuple
     n_modes: int
-    lower: bool
-    side: int
     blocks: tuple
-    trajectory: Trajectory | None = None
+    trajectory: Trajectory
 
 
-def _sample(factor, n_modes: int, which: str, side: int) -> _Sampled:
-    """Sample a fixed factor (mode array or Trajectory) for every block
-    of a pairing once, so that the pairings it enters transform only
-    their other factor.  The sums are the same bit for bit: the same
-    arrays meet the same FFTs."""
-    lower = which == "lower"
-    traj = factor if isinstance(factor, Trajectory) else None
-    modes = factor.modes if traj else factor
-    blocks = tuple(modes_to_physical(modes[..., :masks[side].size]
-                                     * masks[side], m)
-                   for _, masks, m, _ in _pair_grids(n_modes, lower))
-    return _Sampled(modes.shape, n_modes, lower, side, blocks, traj)
-
-
-def _held(factor, n_modes: int, lower: bool, side: int):
-    """The held block samples of a fixed factor, or None for a mode
-    array; samples taken for another pairing, side or grid are refused."""
-    if not isinstance(factor, _Sampled):
-        return None
-    if (factor.n_modes, factor.lower, factor.side) != (n_modes, lower, side):
-        raise ValueError(
-            "fixed factor sampled for another pairing, side or grid")
-    return factor.blocks
-
-
-def _block(modes, held, i: int, mask: np.ndarray, m: int) -> np.ndarray:
-    """Block i's masked factor on its m-point grid: held, or sampled."""
-    if held is not None:
-        return held[i]
-    return modes_to_physical(modes[..., :mask.size] * mask, m)
+def _sample(q: Trajectory, n_modes: int) -> _Sampled:
+    """Sample q's masked blocks once on the grids of the lower pairing,
+    so that every ``modified_paraproduct`` against it transforms only its
+    smoothed factor.  The sums are the same bit for bit: the same arrays
+    meet the same FFTs."""
+    blocks = tuple(modes_to_physical(q.modes[..., :blk.size] * blk, m)
+                   for _, (_, blk), m, _ in _pair_grids(n_modes, True))
+    return _Sampled(n_modes, blocks, q)
 
 
 def _bilinear(f_modes, g_modes, n_modes, which: str):
@@ -221,19 +194,16 @@ def _bilinear(f_modes, g_modes, n_modes, which: str):
     which = "lower": sum_j S_{j-1} f * Delta_j g
     which = "resonant": sum_{|i-j|<=1} Delta_i f * Delta_j g
 
-    Either factor may come as ``_sample(modes, n_modes, which, side)``.
     Blocks go one at a time, and each product is formed as soon as its
-    block is sampled, so only the held samples outlive a block.
+    block is sampled, so no sample outlives its block.
     """
-    lower = which == "lower"
-    f_held = _held(f_modes, n_modes, lower, 0)
-    g_held = _held(g_modes, n_modes, lower, 1)
     acc = np.zeros(np.broadcast_shapes(f_modes.shape, g_modes.shape),
                    dtype=np.complex128)
-    for i, (_, (left, blk), m, top) in enumerate(_pair_grids(n_modes, lower)):
-        acc += _product_of_samples(_block(f_modes, f_held, i, left, m),
-                                   _block(g_modes, g_held, i, blk, m), m,
-                                   top, n_modes)
+    for _, (left, blk), m, top in _pair_grids(n_modes, which == "lower"):
+        acc += _product_of_samples(
+            modes_to_physical(f_modes[..., :left.size] * left, m),
+            modes_to_physical(g_modes[..., :blk.size] * blk, m), m, top,
+            n_modes)
     return acc
 
 
@@ -340,19 +310,20 @@ class TimeMollifierBank:
 def modified_paraproduct(f: Trajectory, g, bank: TimeMollifierBank
                          ) -> Trajectory:
     """Lower paraproduct with a causally time-averaged low-pass factor;
-    ``g`` may come as ``_sample(g, n_modes, "lower", 1)``."""
+    ``g`` may come as ``_sample(g, n_modes)``, taken for f's grid."""
     n_modes = f.grid.n_modes
-    g_held = _held(g, n_modes, True, 1)
-    if g_held is not None:
-        g = g.trajectory
-    f._check(g)
-    acc = np.zeros_like(g.modes)
-    for i, (j, (lo, blk), m, top) in enumerate(_pair_grids(n_modes, True)):
+    if not isinstance(g, _Sampled):
+        g = _sample(g, n_modes)
+    elif g.n_modes != n_modes:
+        raise ValueError("Q sampled for another grid")
+    f._check(g.trajectory)
+    acc = np.zeros_like(g.trajectory.modes)
+    for q_blk, (j, (lo, _), m, top) in zip(g.blocks,
+                                           _pair_grids(n_modes, True)):
         left = bank.smooth(f.modes[..., :lo.size] * lo, j)
-        acc += _product_of_samples(modes_to_physical(left, m),
-                                   _block(g.modes, g_held, i, blk, m), m,
+        acc += _product_of_samples(modes_to_physical(left, m), q_blk, m,
                                    top, n_modes)
-    return Trajectory(g.times, acc, g.grid)
+    return Trajectory(g.trajectory.times, acc, g.trajectory.grid)
 
 
 # ---------------------------------------------------------------- norms

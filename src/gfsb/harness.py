@@ -1014,6 +1014,7 @@ def _run_dependence_probe(params, seeds):
     report = dependence_ladder(data, u0, params["t_end"],
                                sizes=params["sizes"], tol=params["tol"])
     slope_dev = abs(report["slope"] - params["slope_center"])
+    final_dev = abs(report["slope_final"] - params["slope_center"])
     worst_margin = max(report["envelope"]["margins"])
     ml_err = abs(mittag_leffler(1.0, 1.0) - math.e)
     rows = list(zip(report["sizes"], report["differences"],
@@ -1025,6 +1026,12 @@ def _run_dependence_probe(params, seeds):
                        report["slope"],
                        f"{params['slope_center']:g} +- {params['slope_window']:g}",
                        "log-log slope of solution vs input difference"),
+            _assertion("ladder-slope-final",
+                       final_dev <= params["slope_window"],
+                       report["slope_final"],
+                       f"{params['slope_center']:g} +- {params['slope_window']:g}",
+                       "log-log slope of the end-time solution difference "
+                       "vs input difference"),
             _assertion("envelope-dominates",
                        worst_margin <= 1.0 + params["envelope_slack"],
                        worst_margin, 1.0,

@@ -13,12 +13,13 @@ common regime:
   the time-smoothed paraproduct against the antiderivative Q of the
   differentiated forced flow, and u# collects every leftover of the
   decomposition: the derivative of the low-high pairing of u' against
-  the flow, and two fixed closures of the rough products (the resonant
-  and high-low pairings with the flow of the cubic tree and of u' minus
-  its tree part).
-  Its sweeps transform only what changes: the trees' share of the
-  forcing, and the flow and Q sampled on every block grid, are formed
-  once per slab attempt.
+  the flow y, and the resonant and high-low pairings of u' with y (the
+  closures of the rough products).  At a fixed N the dealiased Bony
+  split is exact, lower(f, g) + resonant(f, g) + lower(g, f) = f g, so
+  those three pairings sum to the plain product u' y, and a sweep's
+  whole forcing is the square of the quadratic tree X plus one product,
+  c d/dx(u' (u' + 2 X + 2 y)).  The tree square, and Q sampled on every
+  block grid, are formed once per slab attempt.
 
 The shared discretization applies the stiff linear part exactly through
 the per-mode exponential and the nonlinearity through trapezoid-weighted
@@ -30,7 +31,7 @@ Contraction is monitored in the intersection norm max(holder, sobolev)
 at a configurable exponent, time is split into slabs that halve on
 failed contraction down to a floor of eight steps, and both Picard
 solvers re-estimate the slab length from the first observed contraction
-factor.
+factor; one helper, ``_march_slabs``, runs that loop for both.
 """
 
 from __future__ import annotations
@@ -42,9 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .besov import (_OVERSAMPLE, TimeMollifierBank, _bilinear, _sample,
-                    holder_norms, intersection_sup, modified_paraproduct,
-                    sobolev_norms)
+from .besov import (_OVERSAMPLE, TimeMollifierBank, _sample, holder_norms,
+                    intersection_sup, modified_paraproduct, sobolev_norms)
 from .construct import (DEFAULT_COUPLING, TreeTrajectory, bilinear_forcing,
                         build_tree_family, duhamel_scan, recenter)
 from .errors import (BlowupDetected, ConfigMismatch, DomainError,
@@ -432,6 +432,44 @@ def _shrink_or_raise(steps: int, distances) -> int:
     return max(_MIN_SLAB_STEPS, steps // 2)
 
 
+def _march_slabs(times: np.ndarray, attempt, accept, what: str,
+                 ceiling: float, data_norm: float, delta: float,
+                 gamma: float) -> list:
+    """The slab loop of both Picard solvers; returns the slab records.
+
+    ``attempt(i0, steps)`` contracts the slab of ``steps`` steps from
+    node i0 and returns its iterate and distances, or raises
+    _SlabDiverged, which halves the slab down to the floor.
+    ``accept(i0, steps, iterate)`` stores an accepted iterate and returns
+    the magnitude (``what``) that the ceiling reads and that, with the
+    slab's contraction factors, re-fits the next slab length.
+    """
+    dt = float(times[1] - times[0])
+    top = len(times) - 1
+    slabs = []
+    i0 = 0
+    slab_steps = _initial_slab_steps(dt, top)
+    while i0 < top:
+        steps = min(slab_steps, top - i0)
+        while True:
+            try:
+                cur, dists = attempt(i0, steps)
+                break
+            except _SlabDiverged as fail:
+                steps = _shrink_or_raise(steps, fail.distances)
+        magnitude = accept(i0, steps, cur)
+        info = _slab_info(times, i0, steps, dists)
+        slabs.append(info)
+        if magnitude > ceiling:
+            raise BlowupDetected(
+                f"{what} {magnitude:.3g} exceeds ceiling {ceiling:.3g} "
+                f"by t = {times[i0 + steps]:.6g}")
+        i0 += steps
+        slab_steps = _next_slab_steps(info, max(data_norm, magnitude),
+                                      delta, gamma, dt, slab_steps)
+    return slabs
+
+
 # --------------------------------------------------------- remainder solver
 
 
@@ -530,41 +568,29 @@ def solve_subcritical(data: EnhancedData, coefficients, u0: FourierField,
 
     v = np.zeros((top + 1, n_mod), dtype=np.complex128)
     v[0] = u0.modes
-    slabs = []
-    i0 = 0
-    slab_steps = _initial_slab_steps(dt, top)
-    while i0 < top:
-        steps = min(slab_steps, top - i0)
-        while True:
-            sl = slice(i0, i0 + steps + 1)
-            drift_sl = drift[sl]
-            pair_sl = pair_forcing[sl]
 
-            def sweep(cur):
-                g = (bilinear_forcing(cur, cur, grid, coupling)
-                     + bilinear_forcing(cur, drift_sl, grid, 2.0 * coupling)
-                     + pair_sl)
-                new = duhamel_scan(g, decay, weight, init=v[i0])
-                return new, _w_sup(new - cur, grid, s)
+    def attempt(i0, steps):
+        sl = slice(i0, i0 + steps + 1)
+        drift_sl = drift[sl]
+        pair_sl = pair_forcing[sl]
 
-            rel = times[sl] - times[i0]
-            try:
-                cur, dists = _contract(sweep, _freeflow(v[i0], rates, rel),
-                                       tol, max_iter)
-                break
-            except _SlabDiverged as fail:
-                steps = _shrink_or_raise(steps, fail.distances)
+        def sweep(cur):
+            g = (bilinear_forcing(cur, cur, grid, coupling)
+                 + bilinear_forcing(cur, drift_sl, grid, 2.0 * coupling)
+                 + pair_sl)
+            new = duhamel_scan(g, decay, weight, init=v[i0])
+            return new, _w_sup(new - cur, grid, s)
+
+        rel = times[sl] - times[i0]
+        return _contract(sweep, _freeflow(v[i0], rates, rel), tol, max_iter)
+
+    def accept(i0, steps, cur):
+        sl = slice(i0, i0 + steps + 1)
         v[sl] = cur
-        info = _slab_info(times, i0, steps, dists)
-        slabs.append(info)
-        sup = _w_sup(v[sl], grid, s)
-        if sup > ceiling:
-            raise BlowupDetected(
-                f"remainder norm {sup:.3g} exceeds ceiling {ceiling:.3g} "
-                f"by t = {times[i0 + steps]:.6g}")
-        i0 += steps
-        slab_steps = _next_slab_steps(info, max(data.norm, sup), delta,
-                                      grid.gamma, dt, slab_steps)
+        return _w_sup(v[sl], grid, s)
+
+    slabs = _march_slabs(times, attempt, accept, "remainder norm", ceiling,
+                         data.norm, delta, grid.gamma)
     diagnostics = {"s": s, "tol": tol, "coupling": coupling, "slabs": slabs}
     return SubcriticalState(
         Trajectory(times, v, grid, meta={"kind": "subcritical"}),
@@ -608,11 +634,17 @@ def solve_paracontrolled(data: EnhancedData, coefficients, u0: FourierField,
     Every sweep first refreshes u' from the structural identity
     u' = c(cubic) X + (u' time-smoothed-paraproduct Q) + u#, evaluated
     causally over the whole accepted horizon, then scans the sharp-part
-    forcing: the classical square and cross terms, the derivative of
-    the low-high pairing of u' against the flow, and the two closures
-    of the rough products (the cubic tree's resonant and high-low
-    pairings with the flow, and the same pairings of u' minus its tree
-    part).  ``closure_route`` selects how the minus-generator term on
+    forcing.  In the paper's terms that forcing is the classical square
+    and cross terms, the derivative of the low-high pairing of u'
+    against the flow y, and the closures of the rough products, the
+    resonant and high-low pairings of u' with y.  At a fixed N the
+    dealiased Bony split lower(u', y) + resonant(u', y) + lower(y, u')
+    is exactly u' y, and the square and cross terms are
+    c d/dx((X_lr + u')^2), so the sweep forms the forcing as
+    c d/dx(X_lr^2) + c d/dx(u' (u' + 2 X_lr + 2 y)): one product per
+    sweep, which no longer forms the pairings one by one (c01 checks
+    the split, and a unit test checks this forcing against the pairing
+    form).  ``closure_route`` selects how the minus-generator term on
     the time-smoothed paraproduct is re-integrated:
 
     * ``"exact"``: the scan of that part is replaced by the paraproduct
@@ -624,10 +656,10 @@ def solve_paracontrolled(data: EnhancedData, coefficients, u0: FourierField,
       every other term.
 
     What depends only on the trees is formed once per slab attempt: the
-    cubic closure, the square of the quadratic tree, and the flow and Q
-    sampled on every block grid of the pairings they enter, so a sweep
-    transforms only the factors that change.  Blow-up is monitored on
-    the combined functional (u' at exponent s) + 2 (u# at exponent 2s).
+    square of X_lr, 2 (X_lr + y), and Q sampled on every block grid of
+    the paraproduct, so a sweep transforms only the factors that change.
+    Blow-up is monitored on the combined functional
+    (u' at exponent s) + 2 (u# at exponent 2s).
     """
     if closure_route not in ("exact", "finite-difference"):
         raise ValidationError(f"unknown closure route {closure_route!r}")
@@ -674,79 +706,50 @@ def solve_paracontrolled(data: EnhancedData, coefficients, u0: FourierField,
             Trajectory(times[:horizon], u_prime[:horizon], grid), q,
             bank).modes
 
-    slabs = []
-    i0 = 0
-    slab_steps = _initial_slab_steps(dt, top)
-    while i0 < top:
-        steps = min(slab_steps, top - i0)
-        while True:
-            hi = i0 + steps + 1
-            rel = times[i0:hi] - times[i0]
-            prime_before = u_prime.copy()
-            try:
-                # the trees' share of the sweep, on this attempt's horizon
-                y, xlr, xr = y_s[:hi], xlr_s[:hi], xr_s[:hi]
-                flow_low = _sample(y, n_mod, "lower", 0)
-                flow_res = _sample(y, n_mod, "resonant", 1)
-                flow_blk = _sample(y, n_mod, "lower", 1)
-                q_blk = _sample(Trajectory(times[:hi], q_modes[:hi], grid),
-                                n_mod, "lower", 1)
-                tree_square = bilinear_forcing(xlr, xlr, grid, coupling)
-                cubic = 2.0 * coupling * deriv * (
-                    _bilinear(xr, flow_res, n_mod, "resonant")
-                    + _bilinear(flow_low, xr, n_mod, "lower"))
+    def attempt(i0, steps):
+        hi = i0 + steps + 1
+        rel = times[i0:hi] - times[i0]
+        # the trees' share of the sweep, on this attempt's horizon
+        xlr, xr = xlr_s[:hi], xr_s[:hi]
+        drive = 2.0 * (xlr + y_s[:hi])
+        q_blk = _sample(Trajectory(times[:hi], q_modes[:hi], grid), n_mod)
+        tree_square = bilinear_forcing(xlr, xlr, grid, coupling)
 
-                def sweep(sharp_cur):
-                    sharp_full = np.concatenate(
-                        [u_sharp[:i0], sharp_cur], axis=0)
-                    para = smoothed_para(hi, q_blk)
-                    prime_new = xr + para + sharp_full
-                    d_prime = _w_sup(prime_new - u_prime[:hi], grid, s)
-                    u_prime[:hi] = prime_new
-                    uq = para + sharp_full
-                    # The commutator d lower(u', y) - lower(u', dy) and
-                    # the closure + lower(u', dy) sum to d lower(u', y).
-                    rhs = (tree_square
-                           + bilinear_forcing(xlr, prime_new, grid,
-                                              2.0 * coupling)
-                           + bilinear_forcing(prime_new, prime_new, grid,
-                                              coupling)
-                           + 2.0 * coupling * deriv * _bilinear(
-                               prime_new, flow_blk, n_mod, "lower"))
-                    rhs = rhs + cubic
-                    rhs = rhs + 2.0 * coupling * deriv * (
-                        _bilinear(uq, flow_res, n_mod, "resonant")
-                        + _bilinear(flow_low, uq, n_mod, "lower"))
-                    if closure_route == "finite-difference":
-                        rhs = rhs - (np.gradient(para, dt, axis=0)
-                                     + rates * para)
-                    sharp_new = duhamel_scan(rhs[i0:hi], decay, weight,
-                                             init=u_sharp[i0])
-                    if closure_route == "exact":
-                        sharp_new = sharp_new - (
-                            para[i0:hi] - _freeflow(para[i0], rates, rel))
-                    d_sharp = _w_sup(sharp_new - sharp_cur, grid, s)
-                    return sharp_new, max(d_sharp, d_prime)
+        def sweep(sharp_cur):
+            sharp_full = np.concatenate([u_sharp[:i0], sharp_cur], axis=0)
+            para = smoothed_para(hi, q_blk)
+            prime_new = xr + para + sharp_full
+            d_prime = _w_sup(prime_new - u_prime[:hi], grid, s)
+            u_prime[:hi] = prime_new
+            # lower(u', y) + resonant(u', y) + lower(y, u') = u' y
+            rhs = tree_square + bilinear_forcing(prime_new, prime_new + drive,
+                                                 grid, coupling)
+            if closure_route == "finite-difference":
+                rhs = rhs - (np.gradient(para, dt, axis=0) + rates * para)
+            sharp_new = duhamel_scan(rhs[i0:hi], decay, weight,
+                                     init=u_sharp[i0])
+            if closure_route == "exact":
+                sharp_new = sharp_new - (
+                    para[i0:hi] - _freeflow(para[i0], rates, rel))
+            d_sharp = _w_sup(sharp_new - sharp_cur, grid, s)
+            return sharp_new, max(d_sharp, d_prime)
 
-                sharp_cur, dists = _contract(
-                    sweep, _freeflow(u_sharp[i0], rates, rel), tol, max_iter)
-                break
-            except _SlabDiverged as fail:
-                u_prime = prime_before
-                steps = _shrink_or_raise(steps, fail.distances)
-        u_sharp[i0:i0 + steps + 1] = sharp_cur
-        info = _slab_info(times, i0, steps, dists)
-        slabs.append(info)
-        functional = (_w_sup(u_prime[i0:i0 + steps + 1], grid, s)
-                      + 2.0 * _w_sup(u_sharp[i0:i0 + steps + 1], grid,
-                                     2.0 * s))
-        if functional > ceiling:
-            raise BlowupDetected(
-                f"blow-up functional {functional:.3g} exceeds ceiling "
-                f"{ceiling:.3g} by t = {times[i0 + steps]:.6g}")
-        i0 += steps
-        slab_steps = _next_slab_steps(info, max(data.norm, functional),
-                                      delta, grid.gamma, dt, slab_steps)
+        prime_before = u_prime[:hi].copy()
+        try:
+            return _contract(sweep, _freeflow(u_sharp[i0], rates, rel), tol,
+                             max_iter)
+        except _SlabDiverged:
+            u_prime[:hi] = prime_before
+            raise
+
+    def accept(i0, steps, sharp):
+        sl = slice(i0, i0 + steps + 1)
+        u_sharp[sl] = sharp
+        return (_w_sup(u_prime[sl], grid, s)
+                + 2.0 * _w_sup(u_sharp[sl], grid, 2.0 * s))
+
+    slabs = _march_slabs(times, attempt, accept, "blow-up functional",
+                         ceiling, data.norm, delta, grid.gamma)
 
     para_final = smoothed_para(top + 1,
                                Trajectory(times, q_modes, grid))

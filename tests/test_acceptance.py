@@ -148,5 +148,5 @@ def test_c11_mollifier_convergence(out_root):
 
 def test_c12_dependence_envelope(out_root):
     _run_criterion(out_root, "c12-dependence-envelope", 300,
-                   {"ladder-slope", "envelope-dominates",
-                    "mittag-leffler-e"})
+                   {"ladder-slope", "ladder-slope-final",
+                    "envelope-dominates", "mittag-leffler-e"})

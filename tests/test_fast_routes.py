@@ -11,10 +11,12 @@ modes, the lag kernel at full length, every row's block samples at
 once, and the max over every row's norm.  The fast routes must agree
 with them to roundoff on random inputs; the block sups and the solver
 norm must agree bit for bit, and so must the time average with
-scipy.signal.fftconvolve on the same cut kernel.  A pairing with one
-factor sampled ahead of time must equal, bit for bit, the same pairing
-formed one ``product_modes`` call per block, and a square must equal the
-product of its factor with a copy.
+scipy.signal.fftconvolve on the same cut kernel.  A pairing, and a
+time-smoothed paraproduct against Q sampled ahead of time, must equal,
+bit for bit, the same sums formed one ``product_modes`` call per block,
+and a square must equal the product of its factor with a copy.  The
+paracontrolled sweep's one-product forcing must equal the paper's
+pairing form of it to roundoff, since the dealiased Bony split is exact.
 """
 
 import math
@@ -23,6 +25,7 @@ import numpy as np
 import pytest
 
 import gfsb.besov
+import gfsb.solver
 import gfsb.spectral
 from gfsb.besov import (
     _OVERSAMPLE,
@@ -36,9 +39,14 @@ from gfsb.besov import (
     modified_paraproduct,
     sobolev_norms,
 )
-from gfsb.solver import _w_sup, _w_values
-from gfsb.spectral import Grid, modes_to_physical, product_modes
+from gfsb.construct import DEFAULT_COUPLING, bilinear_forcing
+from gfsb.noise import NoiseConfig
+from gfsb.solver import (_w_sup, _w_values, build_enhanced_data,
+                         solve_paracontrolled)
+from gfsb.spectral import (FourierField, Grid, derivative_symbol,
+                           modes_to_physical, product_modes)
 from gfsb.trajectory import Trajectory
+from gfsb.trees import CoefficientMap, RegularityParams
 from scipy.signal import fftconvolve
 
 RTOL = 1e-13
@@ -439,51 +447,24 @@ def assert_same(fast, ref):
 @pytest.mark.parametrize("rows,n_modes", SAMPLED_SHAPES)
 @pytest.mark.parametrize("which", ["lower", "resonant"])
 def test_sampled_bilinear_is_bit_identical(rows, n_modes, which):
-    """The fixed factor on either side, and the plain route, against the
-    pairing formed one product_modes call per block."""
+    """The pairing against the same sum formed one product_modes call
+    per block, at the reconstruction and c10 shapes and two small ones."""
     rng = np.random.default_rng(rows + n_modes)
     f = random_modes(rng, (rows, n_modes))
     g = random_modes(rng, (rows, n_modes))
-    ref = blockwise_bilinear(f, g, n_modes, which)
-    assert_same(_bilinear(f, g, n_modes, which), ref)
-    assert_same(_bilinear(_sample(f, n_modes, which, 0), g, n_modes, which),
-                ref)
-    assert_same(_bilinear(f, _sample(g, n_modes, which, 1), n_modes, which),
-                ref)
-
-
-@pytest.mark.parametrize("rows,n_modes", [(51, 128), (40, 17)])
-@pytest.mark.parametrize("side", [0, 1])
-def test_stacked_sampled_factor_pairs_each_slice(rows, n_modes, side):
-    """Two fixed factors stacked on a leading axis share the other
-    factor's transform and give each pairing bit for bit."""
-    rng = np.random.default_rng(rows * n_modes + side)
-    f = random_modes(rng, (rows, n_modes))
-    g = random_modes(rng, (rows, n_modes))
-    h = random_modes(rng, (rows, n_modes))
-    fixed = _sample(np.stack([g, h]), n_modes, "lower", side)
-    if side:
-        out = _bilinear(f, fixed, n_modes, "lower")
-        refs = [blockwise_bilinear(f, x, n_modes, "lower") for x in (g, h)]
-    else:
-        out = _bilinear(fixed, f, n_modes, "lower")
-        refs = [blockwise_bilinear(x, f, n_modes, "lower") for x in (g, h)]
-    assert_same(out, np.stack(refs))
+    assert_same(_bilinear(f, g, n_modes, which),
+                blockwise_bilinear(f, g, n_modes, which))
 
 
 def test_sampled_factor_is_refused_elsewhere():
+    """Q sampled for another grid does not fit the paraproduct's blocks."""
     rng = np.random.default_rng(4)
     f = random_modes(rng, (5, 16))
-    fixed = _sample(f, 16, "lower", 1)
-    for args in ((fixed, f, 16, "lower"), (f, fixed, 16, "resonant"),
-                 (f, fixed, 17, "lower")):
-        with pytest.raises(ValueError):
-            _bilinear(*args)
-    grid = Grid(16, 2.0)
-    traj = Trajectory(0.01 * np.arange(5), f, grid)
+    traj = Trajectory(0.01 * np.arange(5), f, Grid(16, 2.0))
     bank = TimeMollifierBank(dt=0.01, gamma=2.0)
+    other = Trajectory(traj.times, random_modes(rng, (5, 17)), Grid(17, 2.0))
     with pytest.raises(ValueError):
-        modified_paraproduct(traj, _sample(traj, 16, "lower", 0), bank)
+        modified_paraproduct(traj, _sample(other, 17), bank)
 
 
 @pytest.mark.parametrize("rows,n_modes", SAMPLED_SHAPES)
@@ -499,11 +480,73 @@ def test_modified_paraproduct_with_sampled_q_is_bit_identical(rows,
     ref = blockwise_modified_paraproduct(f, q.modes, bank, n_modes)
     f_traj = Trajectory(times, f, grid)
     plain = modified_paraproduct(f_traj, q, bank)
-    sampled = modified_paraproduct(f_traj, _sample(q, n_modes, "lower", 1),
-                                   bank)
+    sampled = modified_paraproduct(f_traj, _sample(q, n_modes), bank)
     assert_same(plain.modes, ref)
     assert_same(sampled.modes, ref)
     assert np.array_equal(sampled.times, times) and sampled.grid == grid
+
+
+# ------------------------------------------- paracontrolled sweep forcing
+
+
+def pairing_sweep_forcing(prime, xlr, y, grid, coupling):
+    """The paracontrolled sweep's forcing in the paper's pairings: the
+    tree square, 2c d(X_lr u'), c d(u'^2), 2c d lower(u', y) and
+    2c d[resonant(u', y) + lower(y, u')]."""
+    n = grid.n_modes
+    d2c = 2.0 * coupling * derivative_symbol(grid)
+    return (bilinear_forcing(xlr, xlr, grid, coupling)
+            + bilinear_forcing(xlr, prime, grid, 2.0 * coupling)
+            + bilinear_forcing(prime, prime, grid, coupling)
+            + d2c * _bilinear(prime, y, n, "lower")
+            + d2c * (_bilinear(prime, y, n, "resonant")
+                     + _bilinear(y, prime, n, "lower")))
+
+
+@pytest.mark.parametrize("n_modes", [128, 256])
+def test_sweep_forcing_matches_the_pairing_form(n_modes, monkeypatch):
+    """Every sweep of a paracontrolled solve on c10's trees (its gamma,
+    width, seed, step and regularities, on a 31-node horizon) forms its
+    forcing from one product of u'.  Captured with the u' it was formed
+    from, it must equal the pairing form within 1e-12 max|forcing|: the
+    dealiased Bony split is exact, but the sums round differently."""
+    gamma, coupling = 1.75, DEFAULT_COUPLING
+    grid = Grid(n_modes, gamma)
+    cfg = NoiseConfig(gamma=gamma, epsilon=0.0625, seed=21, dt=1e-4,
+                      t_end=0.003)
+    data = build_enhanced_data(cfg, grid, RegularityParams(alpha=-0.2,
+                                                           b=0.5))
+    u0 = np.zeros(n_modes, dtype=complex)
+    u0[:3] = (0.08 - 0.02j, 0.03 + 0.01j, -0.015j)
+    primes, forcings = [], []
+    forcing, scan = gfsb.solver.bilinear_forcing, gfsb.solver.duhamel_scan
+
+    def forcing_spy(a, b, grid, coupling):
+        if a is not b:
+            primes.append(a.copy())
+        return forcing(a, b, grid, coupling)
+
+    def scan_spy(g, decay, weight, init=None):
+        if init is not None:
+            forcings.append(g.copy())
+        return scan(g, decay, weight, init=init)
+
+    monkeypatch.setattr(gfsb.solver, "bilinear_forcing", forcing_spy)
+    monkeypatch.setattr(gfsb.solver, "duhamel_scan", scan_spy)
+    state = solve_paracontrolled(data, None, FourierField(u0, grid),
+                                 tol=1e-12)
+    assert len(state.diagnostics["slabs"]) == 1
+    assert len(primes) == len(forcings) >= 3
+
+    c = CoefficientMap.standard()
+    y = c["n"] * data.trees["n"].modes
+    xlr = c["lr"] * data.trees["lr"].modes
+    assert np.max(np.abs(y)) > 0 and np.max(np.abs(xlr)) > 0
+    for prime, got in zip(primes, forcings):
+        want = pairing_sweep_forcing(prime, xlr, y, grid, coupling)
+        scale = float(np.max(np.abs(want)))
+        assert scale > 0
+        assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("n_modes", [7, 128, 256])
