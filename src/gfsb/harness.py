@@ -16,7 +16,10 @@ import csv
 import json
 import math
 import os
+import platform
+import sys
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -373,6 +376,8 @@ class RunManifest:
     artifacts: dict = field(default_factory=dict)
     wall_times: dict = field(default_factory=dict)
     assertions: list = field(default_factory=list)
+    versions: dict = field(default_factory=dict)
+    warnings: list = field(default_factory=list)
 
     @property
     def complete(self) -> bool:
@@ -388,7 +393,24 @@ class RunManifest:
                 "statuses": dict(sorted(self.statuses.items())),
                 "artifacts": {k: str(v) for k, v in sorted(self.artifacts.items())},
                 "wall_times": self.wall_times,
-                "assertions": self.assertions}
+                "assertions": self.assertions,
+                "versions": self.versions,
+                "warnings": self.warnings}
+
+
+def _versions() -> dict:
+    """Python and numpy versions, and scipy's once the process has loaded
+    it: bit-identity claims hold per pocketfft build."""
+    out = {"python": platform.python_version(), "numpy": np.__version__}
+    if "scipy" in sys.modules:
+        out["scipy"] = sys.modules["scipy"].__version__
+    return out
+
+
+def _warning_records(caught) -> list:
+    return [{"category": w.category.__name__, "message": str(w.message),
+             "source": f"{Path(w.filename).name}:{w.lineno}"}
+            for w in caught if issubclass(w.category, UserWarning)]
 
 
 def _fmt(value) -> str:
@@ -443,15 +465,28 @@ def run(spec: ExperimentSpec) -> RunManifest:
                            code_version=code_version())
     start = time.perf_counter()
     try:
-        result = runner(params, spec.seeds)
+        # validity warnings go in the manifest whatever the caller's
+        # filters say; each distinct one is recorded once per run
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default", UserWarning)
+            result = runner(params, spec.seeds)
     except ValidationError:
         raise
     except Exception as exc:
         manifest.statuses["run"] = "error"
+        manifest.versions = _versions()
+        manifest.warnings = _warning_records(caught)
         _write_json(out_dir / "manifest.json", manifest.to_json())
         raise TaskFailure(f"study {spec.name!r} failed: {exc}",
                           manifest=manifest) from exc
+    finally:
+        # shown again under the caller's filters, as if never caught
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename,
+                                   w.lineno, source=w.source)
     manifest.wall_times["run"] = round(time.perf_counter() - start, 3)
+    manifest.versions = _versions()
+    manifest.warnings = _warning_records(caught)
 
     for name, (header, rows) in result.get("tables", {}).items():
         path = out_dir / name

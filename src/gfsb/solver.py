@@ -41,7 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .besov import (_OVERSAMPLE, TimeMollifierBank, _sample, holder_norms,
                     intersection_sup, modified_paraproduct, sobolev_norms)
@@ -789,7 +788,7 @@ def mittag_leffler(a: float, z: float, *, rtol: float = 1e-14,
     total = 0.0
     prev = math.inf
     for j in range(max_terms):
-        term = math.exp(j * lz - float(gammaln(a * j + 1.0)))
+        term = math.exp(j * lz - math.lgamma(a * j + 1.0))
         total += term
         if term < prev and term <= rtol * total:
             if term > 1e-12 * total:

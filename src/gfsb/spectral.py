@@ -17,6 +17,15 @@ content of a product are discarded; on request they are reported, read
 on a grid that resolves the whole product.  A square samples its factor
 once.  The grid rule and the transform back to modes are helpers that
 the paraproducts also call on factors they sampled ahead of time.
+
+Every transform is numpy's, so importing the package loads numpy and
+nothing heavier.  Grid lengths come from ``_next_fast_len``: the
+smallest length at least the need whose prime factors are 2, 3 and 5
+(up to 11 for complex transforms), the same rule as the fast-length
+helper the tests keep as its oracle.  ``besov``'s time smoothing takes
+its lengths from it too, and forms its real kernel's spectrum as the
+real transform plus the conjugate mirror: that is what a real-input FFT
+does, while a complex FFT of the same kernel differs at roundoff.
 """
 
 from __future__ import annotations
@@ -24,9 +33,9 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import FormatError, GridMismatch
 
@@ -150,6 +159,22 @@ def physical_to_modes(values: np.ndarray, n_modes: int) -> np.ndarray:
     return np.ascontiguousarray(spec[..., 1:n_modes + 1])
 
 
+@lru_cache(maxsize=256)
+def _next_fast_len(n: int, real: bool = False) -> int:
+    """Smallest m >= n whose prime factors are all in (2, 3, 5), or in
+    (2, 3, 5, 7, 11) for complex transforms."""
+    primes = (2, 3, 5) if real else (2, 3, 5, 7, 11)
+    m = max(n, 1)
+    while True:
+        rest = m
+        for p in primes:
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
 def _product_grid(ka: int, kb: int, n_modes: int,
                   with_report: bool = False) -> tuple[int, int]:
     """(grid length m, top) for the product of factors with ka and kb
@@ -158,7 +183,7 @@ def _product_grid(ka: int, kb: int, n_modes: int,
     need = max(ka + kb + top + 1, 2 * max(ka, kb) + 1)
     if with_report:
         need = max(need, 2 * (ka + kb) + 1)
-    return next_fast_len(need, real=True), top
+    return _next_fast_len(need, real=True), top
 
 
 def _product_of_samples(pa: np.ndarray, pb: np.ndarray, m: int, top: int,

@@ -11,7 +11,9 @@ modes, the lag kernel at full length, every row's block samples at
 once, and the max over every row's norm.  The fast routes must agree
 with them to roundoff on random inputs; the block sups and the solver
 norm must agree bit for bit, and so must the time average with
-scipy.signal.fftconvolve on the same cut kernel.  A pairing, and a
+scipy.signal.fftconvolve on the same cut kernel.  The package runs on
+numpy alone, so scipy.fft is the oracle for its two stand-ins: the
+fast-length rule and a real kernel's mirrored spectrum.  A pairing, and a
 time-smoothed paraproduct against Q sampled ahead of time, must equal,
 bit for bit, the same sums formed one ``product_modes`` call per block,
 and a square must equal the product of its factor with a copy.  The
@@ -35,6 +37,7 @@ from gfsb.besov import (
     _block_sup_norms,
     _para_masks,
     _partition_weights,
+    _real_fft,
     _sample,
     modified_paraproduct,
     sobolev_norms,
@@ -43,10 +46,12 @@ from gfsb.construct import DEFAULT_COUPLING, bilinear_forcing
 from gfsb.noise import NoiseConfig
 from gfsb.solver import (_w_sup, _w_values, build_enhanced_data,
                          solve_paracontrolled)
-from gfsb.spectral import (FourierField, Grid, derivative_symbol,
-                           modes_to_physical, product_modes)
+from gfsb.spectral import (FourierField, Grid, _next_fast_len,
+                           derivative_symbol, modes_to_physical,
+                           product_modes)
 from gfsb.trajectory import Trajectory
 from gfsb.trees import CoefficientMap, RegularityParams
+from scipy import fft as scipy_fft
 from scipy.signal import fftconvolve
 
 RTOL = 1e-13
@@ -265,6 +270,26 @@ def test_smooth_is_bit_identical_to_fftconvolve(rows, tail):
         ref = fftconvolve_smooth(bank, values, j)
         assert fast.dtype == ref.dtype
         assert np.array_equal(fast, ref)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_fast_length_rule_is_scipys(real):
+    got = [_next_fast_len(n, real=real) for n in range(1, 20001)]
+    want = [scipy_fft.next_fast_len(n, real=real) for n in range(1, 20001)]
+    assert got == want
+
+
+@pytest.mark.parametrize("tail", [(), (1,), (1, 1)])
+def test_mirrored_real_spectrum_is_scipys_complex_fft(tail):
+    rng = np.random.default_rng(len(tail))
+    for lags in range(1, 402):
+        kernel = rng.random((lags,) + tail)
+        for m in {lags, lags + 1, 2 * lags, 2 * lags + 1,
+                  _next_fast_len(lags + 60)}:
+            got = _real_fft(kernel, m)
+            want = scipy_fft.fft(kernel, m, axis=0)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want), (lags, m)
 
 
 @pytest.mark.parametrize("n_modes,rows", [(7, 1), (7, 51), (7, 600),

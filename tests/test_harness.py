@@ -1,4 +1,5 @@
 """Study harness: spec files, manifests, determinism, CLI plumbing."""
+import dataclasses
 import json
 import hashlib
 import os
@@ -25,6 +26,9 @@ from gfsb.harness import (
 )
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
+
+ROOT = Path(__file__).resolve().parent.parent
+EXPERIMENTS = ROOT / "experiments"
 
 
 AUDIT_SPEC = """\
@@ -197,6 +201,27 @@ def test_runner_error_becomes_task_failure(tmp_path):
     assert not partial.complete
     stored = json.loads((tmp_path / "eps" / "manifest.json").read_text())
     assert stored["statuses"] == {"run": "error"}
+    assert stored["versions"]["numpy"]
+
+
+def test_manifest_records_versions_and_validity_warnings(tmp_path):
+    # c10's shape at N = 128, dt = 4e-4: dt * N^gamma = 1.95 > 1, so the
+    # grid check warns; the module's ignore filter must not hide it
+    spec = load_spec(EXPERIMENTS / "c10-solver-reconstruction.spec",
+                     tmp_path / "c10")
+    spec = dataclasses.replace(spec, parameters={
+        **spec.parameters, "n_modes": "128", "dt": "4e-4", "t_end": "0.02"})
+    run(spec)
+    stored = json.loads((tmp_path / "c10" / "manifest.json").read_text())
+    assert set(stored["versions"]) >= {"python", "numpy"}
+    assert [w["category"] for w in stored["warnings"]] == ["UserWarning"]
+    assert "dt * N^gamma = 1.95 > 1" in stored["warnings"][0]["message"]
+    assert stored["warnings"][0]["source"].startswith("noise.py:")
+
+    run(load_spec(EXPERIMENTS / "c01-decomposition-identities.spec",
+                  tmp_path / "c01"))
+    stored = json.loads((tmp_path / "c01" / "manifest.json").read_text())
+    assert stored["warnings"] == []
 
 
 def test_more_u0_values_than_modes_is_a_validation_error(tmp_path):
@@ -242,27 +267,46 @@ def test_plot_data_requires_complete_manifest():
 
 # ------------------------------------------------------------------- CLI
 
-ROOT = Path(__file__).resolve().parent.parent
-
-# Every study process and CLI call pays for this import.  A fresh
-# process is needed because other tests import these modules in-process.
+# Every study process and CLI call pays for this import, and none of it
+# needs scipy.  A fresh process is needed because other tests import
+# scipy in-process.
 IMPORT_PROBE = """\
 import sys
 import gfsb.cli
 from gfsb.harness import load_spec
 load_spec(sys.argv[1], sys.argv[2])
-print(sorted(m for m in ("scipy.signal", "scipy.integrate", "scipy.stats",
-                         "scipy.optimize") if m in sys.modules))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+# c09 and c12 reach both Picard solvers, the time smoothing and the
+# Mittag-Leffler series; they too run on numpy alone.
+STUDY_PROBE = """\
+import sys
+from pathlib import Path
+from gfsb.harness import load_spec, run
+for stem in ("c09-solver-degeneration", "c12-dependence-envelope"):
+    spec = load_spec(Path(sys.argv[1]) / (stem + ".spec"),
+                     Path(sys.argv[2]) / stem)
+    assert all(a["passed"] for a in run(spec).assertions), stem
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_cli_import_leaves_heavy_scipy_unloaded(tmp_path):
+def _probe(code, *args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    spec = ROOT / "experiments" / "c10-solver-reconstruction.spec"
-    out = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, str(spec), str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "[]", out.stdout
+    out = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                         env=env, capture_output=True, text=True,
+                         timeout=300, check=True)
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_heavy_scipy_unloaded(tmp_path):
+    spec = EXPERIMENTS / "c10-solver-reconstruction.spec"
+    assert _probe(IMPORT_PROBE, spec, tmp_path) == "[]"
+
+
+def test_solver_studies_load_no_scipy(tmp_path):
+    assert _probe(STUDY_PROBE, EXPERIMENTS, tmp_path) == "[]"
 
 
 def test_cli_verify_identities(tmp_path):
