@@ -27,21 +27,24 @@ reads, both kept here so that every caller shares one definition:
 block read on an 8x-oversampled physical grid.
 
 ``intersection_sup`` is the max of both over all rows, and it skips the
-block reads of rows that cannot hold that max.  Block j of a real row
-with coefficients c_k is 2 Re sum_k c_k w_jk e^(ikx), so its sup is at
-most 2 sum_k |c_k w_jk|, and max_j 2^(js) times that bounds the row's
-Hoelder norm with no FFT.  Starting from the largest Sobolev norm, rows
-are read in order of descending bound, and a row is skipped when its
-bound times (1 + 1e-12) does not exceed the running max.  The margin
-covers the roundoff by which a computed sup can exceed the computed
-bound, so a skipped row cannot raise the max, and the returned float is
-the max of the full route bit for bit.
+block reads that cannot hold that max.  Block j of a real row with
+coefficients c_k is 2 Re sum_k c_k w_jk e^(ikx), so its sup is at most
+2 sum_k |c_k w_jk|, and 2^(js) times that bounds the pair's share of
+the Hoelder norm with no FFT.  Starting from the largest Sobolev norm,
+(row, block) pairs are read in order of descending bound, and a pair is
+skipped when its bound times (1 + 1e-12) does not exceed the running
+max.  The margin covers the roundoff by which a computed sup can exceed
+the computed bound, so a skipped pair cannot raise the max, and the
+returned float is the max of the full route bit for bit.  Every block
+sup, here and in the regularity ladder, is read by ``_read_sups``.
 
 ``TimeMollifierBank.smooth`` convolves along time with numpy's FFT.  Its
 lag kernel is real, so the kernel's spectrum is formed from the real
 transform and its conjugate mirror: half the work of a complex
 transform, and the same floats a real-input FFT gives, so the smoothed
-values repeat those of a direct FFT convolution bit for bit.
+values repeat those of a direct FFT convolution bit for bit.  The
+spectrum and the clamped-history weights are cached per (dt, gamma, j,
+horizon).
 """
 
 from __future__ import annotations
@@ -279,6 +282,29 @@ def _real_fft(x: np.ndarray, m: int) -> np.ndarray:
     return np.concatenate([half, half[1:(m + 1) // 2][::-1].conj()])
 
 
+@lru_cache(maxsize=256)
+def _smooth_kernel(dt: float, gamma: float, j: int, n: int):
+    """(m, spectrum, tail) of the block-j average over n rows, or m = 0
+    when the kernel is a point mass.  Row t reads lags <= t only, so the
+    lag kernel is cut to n.  The average is a causal FFT convolution at
+    a fast length m for complex input; the kernel is real, so its
+    spectrum is its real transform plus the conjugate mirror
+    (``_real_fft``), as a real-input FFT forms it (np.fft.fft of the
+    kernel would differ at roundoff), and the result equals fftconvolve,
+    the oracle in the tests, bit for bit.  Lags reaching past the first
+    node read the clamped value there: ``tail`` weighs row 0."""
+    w = _lag_weights(dt, gamma, j)[:n]
+    if len(w) == 1:
+        return 0, None, None
+    m = _next_fast_len(n + len(w) - 1)
+    spectrum = _real_fft(w, m)
+    tail = np.zeros(n)
+    tail[:len(w)] = np.clip(1.0 - np.cumsum(w), 0.0, None)
+    spectrum.flags.writeable = False
+    tail.flags.writeable = False
+    return m, spectrum, tail
+
+
 @dataclass(frozen=True)
 class TimeMollifierBank:
     """Causal per-block moving averages with memory 2^(-gamma j)."""
@@ -303,24 +329,13 @@ class TimeMollifierBank:
         """Apply the block-j average along axis 0, reading index 0 for
         times before the start (clamped history)."""
         n = len(values)
-        # row t reads lags <= t only, so longer kernels are cut to n
-        w = self.lag_weights(j)[:n]
-        if len(w) == 1:
+        m, spectrum, tail = _smooth_kernel(self.dt, self.gamma, j, n)
+        if m == 0:
             return values
-        kernel = w.reshape((-1,) + (1,) * (values.ndim - 1))
-        # a causal FFT convolution at a fast length for complex input.
-        # The kernel is real, so its spectrum is its real transform plus
-        # the conjugate mirror (``_real_fft``), as a real-input FFT forms
-        # it; np.fft.fft of the kernel would differ at roundoff.  So the
-        # result equals fftconvolve, the oracle in the tests, bit for bit
-        m = _next_fast_len(n + len(w) - 1)
+        shape = (-1,) + (1,) * (values.ndim - 1)
         out = np.fft.ifft(np.fft.fft(values, m, axis=0)
-                          * _real_fft(kernel, m), axis=0)[:n]
-        # lags reaching past the first node read the clamped value there
-        tail = np.zeros(n)
-        tail[:len(w)] = np.clip(1.0 - np.cumsum(w), 0.0, None)
-        out = out + tail.reshape((-1,) + (1,) * (values.ndim - 1)) * values[0]
-        return out
+                          * spectrum.reshape(shape), axis=0)[:n]
+        return out + tail.reshape(shape) * values[0]
 
 
 def modified_paraproduct(f: Trajectory, g, bank: TimeMollifierBank
@@ -355,27 +370,47 @@ def sobolev_norms(modes: np.ndarray, grid: Grid, s: float) -> np.ndarray:
     return np.sqrt(2.0 * np.sum(k ** (2 * s) * np.abs(modes) ** 2, axis=-1))
 
 
-def _block_sup_norms(modes: np.ndarray, n_modes: int) -> np.ndarray:
-    """L-infinity of every block, batched over leading axes; the sup is
-    read on an 8x-oversampled physical grid.  Rows go through
-    _SUP_ROWS at a time, so the (rows, J+2, 8N) samples stay small
-    enough for the allocator to reuse their memory from chunk to chunk
-    rather than fault in fresh pages for one large temporary."""
+def _read_sups(band, out: np.ndarray, n_points: int) -> np.ndarray:
+    """Fill ``out`` with the sup-norm of each band row on the n_points
+    grid; ``band(sl)`` gives the masked modes of rows ``sl``.  Rows go
+    _SUP_ROWS at a time, so the samples stay small enough for the
+    allocator to reuse their memory from chunk to chunk rather than
+    fault in fresh pages for one large temporary.  This is the one place
+    band rows become sups: max(x.max(), -x.min()) is max |x| without the
+    |x| temporary, and the final abs only clears the sign of a zero."""
+    for i in range(0, len(out), _SUP_ROWS):
+        sl = slice(i, i + _SUP_ROWS)
+        x = modes_to_physical(band(sl), n_points)
+        np.abs(np.maximum(x.max(axis=-1), -x.min(axis=-1)), out=out[sl])
+    return out
+
+
+def _block_sup_norms(modes: np.ndarray, n_modes: int,
+                     pairs: tuple | None = None) -> np.ndarray:
+    """L-infinity of dyadic blocks, each read on an 8x-oversampled
+    physical grid: of every block of every row, batched over leading
+    axes, or, given ``pairs`` = (r, b), of block b[i] - 1 of row r[i]
+    of the 2-D ``modes`` only (b indexes the partition's rows)."""
     _, w = _partition_weights(n_modes)
-    lead = modes.shape[:-1]
+    n_points = _OVERSAMPLE * n_modes
+    if pairs is not None:
+        r, b = pairs
+        return _read_sups(lambda sl: modes[r[sl]] * w[b[sl]],
+                          np.empty(len(r)), n_points)
     rows = modes.reshape(-1, modes.shape[-1])
-    out = np.empty((rows.shape[0], w.shape[0]))
-    for i in range(0, rows.shape[0], _SUP_ROWS):
-        blocks = rows[i:i + _SUP_ROWS, None, :] * w  # (rows, J+2, N)
-        vals = modes_to_physical(blocks, _OVERSAMPLE * n_modes)
-        out[i:i + _SUP_ROWS] = np.max(np.abs(vals), axis=-1)
-    return out.reshape(lead + (w.shape[0],))
+    out = _read_sups(lambda sl: rows[sl, None, :] * w,
+                     np.empty((rows.shape[0], w.shape[0])), n_points)
+    return out.reshape(modes.shape[:-1] + (w.shape[0],))
+
+
+def _block_scales(n_blocks: int, s: float) -> np.ndarray:
+    """2^(js) for the blocks j = -1..n_blocks - 2."""
+    return 2.0 ** (np.arange(-1, n_blocks - 1, dtype=float) * s)
 
 
 def _holder_max(blocks: np.ndarray, s: float) -> np.ndarray:
     """max_j 2^(js) * blocks[..., j + 1] over the block axis (last)."""
-    j = np.arange(-1, blocks.shape[-1] - 1, dtype=float)
-    return np.max(2.0 ** (j * s) * blocks, axis=-1)
+    return np.max(_block_scales(blocks.shape[-1], s) * blocks, axis=-1)
 
 
 def holder_norms(modes: np.ndarray, n_modes: int, s: float) -> np.ndarray:
@@ -385,22 +420,25 @@ def holder_norms(modes: np.ndarray, n_modes: int, s: float) -> np.ndarray:
 
 
 def intersection_sup(modes: np.ndarray, grid: Grid, s: float) -> float:
-    """max over rows of max(sobolev_norms, holder_norms), reading block
-    sups only for rows whose l1 bound can beat the running max.
+    """max over rows of max(sobolev_norms, holder_norms), reading only
+    the (row, block) sups whose l1 bound can beat the running max.
 
-    A skipped row has bound * (1 + 1e-12) <= running max.  Its computed
-    bound and its computed sups are each within a relative roundoff of
+    The bound of pair (r, j) is 2^(js) * 2 * sum_k |c_rk * w_jk|.  A
+    skipped pair has bound * (1 + 1e-12) <= running max.  Its computed
+    bound and its computed sup are each within a relative roundoff of
     order N * eps of the exact values (2e-13 at N = 1024), so its
-    computed Hoelder norm cannot exceed the running max, and the result
-    is the full route's max bit for bit.  Rows go by descending bound
-    (stable order), _SUP_ROWS at a time, up to the first chunk with no
-    surviving row.  A non-finite bound or Sobolev norm (NaN or inf
+    computed weighted sup cannot exceed the running max.  A read pair
+    meets the same array and transform as in ``holder_norms``, so the
+    result is the full route's max bit for bit.  Pairs go by descending
+    bound (stable order), _SUP_ROWS at a time, up to the first chunk with
+    no surviving pair.  A non-finite bound or Sobolev norm (NaN or inf
     input, overflow) takes the full route, so the result stays
     non-finite."""
     rows = modes.reshape(-1, modes.shape[-1])
     _, w = _partition_weights(grid.n_modes)
+    scale = _block_scales(w.shape[0], s)
     with np.errstate(invalid="ignore", over="ignore"):
-        bound = _holder_max(2.0 * (np.abs(rows) @ w.T), s)
+        bound = (scale * (2.0 * (np.abs(rows) @ w.T))).ravel()
     sob = sobolev_norms(rows, grid, s)
     top = float(np.max(sob))
     if not (math.isfinite(top) and np.all(np.isfinite(bound))):
@@ -412,6 +450,7 @@ def intersection_sup(modes: np.ndarray, grid: Grid, s: float) -> float:
         live = chunk[bound[chunk] * (1.0 + 1e-12) > top]
         if not live.size:
             break
-        top = max(top, float(np.max(holder_norms(rows[live], grid.n_modes,
-                                                 s))))
+        r, b = np.divmod(live, w.shape[0])
+        sups = _block_sup_norms(rows, grid.n_modes, (r, b))
+        top = max(top, float(np.max(scale[b] * sups)))
     return top

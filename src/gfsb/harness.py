@@ -27,10 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from .besov import (
-    _SUP_ROWS,
     DyadicPartition,
     TimeMollifierBank,
     _partition_weights,
+    _read_sups,
     bony_decomposition,
     lp_block,
     modified_paraproduct,
@@ -65,7 +65,7 @@ from .solver import (
     solve_subcritical,
     zero_enhanced_data,
 )
-from .spectral import FourierField, Grid, modes_to_physical, pointwise_product
+from .spectral import FourierField, Grid, pointwise_product
 from .trajectory import Trajectory
 from .trees import RegularityParams, parse_symbol, regular_set, verify_regularity_floor
 
@@ -796,20 +796,17 @@ def _covariance_tree(params):
 def _band_window_sups(modes, n_modes, js):
     """Sup over (time, space) of each dyadic block; every block is read
     on a uniform grid at 8x its own bandwidth (the grids nest, so the
-    relative oversampling is the same for every block).  Rows go through
-    _SUP_ROWS at a time, as in besov._block_sup_norms."""
+    relative oversampling is the same for every block), through the
+    solver norm's reader ``besov._read_sups``."""
     _, w = _partition_weights(n_modes)
     out = []
     for j in js:
         row = w[j + 1]
         hi = int(np.nonzero(row)[0][-1]) + 1
         n_phys = 1 << max(4, int(np.ceil(np.log2(8 * hi))))
-        best = 0.0
-        for i0 in range(0, modes.shape[0], _SUP_ROWS):
-            band = modes[i0:i0 + _SUP_ROWS, :hi] * row[:hi]
-            best = max(best, float(np.max(np.abs(
-                modes_to_physical(band, n_phys)))))
-        out.append(best)
+        sups = _read_sups(lambda sl: modes[sl, :hi] * row[:hi],
+                          np.empty(modes.shape[0]), n_phys)
+        out.append(float(np.max(sups)))
     return np.array(out)
 
 

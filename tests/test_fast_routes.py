@@ -3,14 +3,15 @@ sups and the pruned solver norm against the full routes.
 
 The product kernel sizes its grid from the factors' bands, the
 paraproduct masks are cut to their bands, the time average cuts its
-lag kernel to the horizon, the block sup norms run over row chunks, and
-the solver norm skips the block reads of rows whose l1 bound cannot
-reach the max.  Each reference below is the straightforward route those
-replace: every product on the 4(N+1)-point grid, every mask over all N
-modes, the lag kernel at full length, every row's block samples at
-once, and the max over every row's norm.  The fast routes must agree
-with them to roundoff on random inputs; the block sups and the solver
-norm must agree bit for bit, and so must the time average with
+lag kernel to the horizon, the block sup norms run over row chunks with
+a fused max, and the solver norm skips the (row, block) sups whose l1
+bound cannot reach the max.  Each reference below is the
+straightforward route those replace: every product on the 4(N+1)-point
+grid, every mask over all N modes, the lag kernel at full length, every
+row's block samples at once read as max |x|, and the max over every
+row's norm.  The fast routes must agree with them to roundoff on random
+inputs; the block sups, c06's band sups and the solver norm must agree
+bit for bit, and so must the time average with
 scipy.signal.fftconvolve on the same cut kernel.  The package runs on
 numpy alone, so scipy.fft is the oracle for its two stand-ins: the
 fast-length rule and a real kernel's mirrored spectrum.  A pairing, and a
@@ -31,6 +32,7 @@ import gfsb.solver
 import gfsb.spectral
 from gfsb.besov import (
     _OVERSAMPLE,
+    _SUP_ROWS,
     DyadicPartition,
     TimeMollifierBank,
     _bilinear,
@@ -43,6 +45,7 @@ from gfsb.besov import (
     sobolev_norms,
 )
 from gfsb.construct import DEFAULT_COUPLING, bilinear_forcing
+from gfsb.harness import _band_window_sups
 from gfsb.noise import NoiseConfig
 from gfsb.solver import (_w_sup, _w_values, build_enhanced_data,
                          solve_paracontrolled)
@@ -350,6 +353,34 @@ def sobolev_rows(rows):
     return modes
 
 
+def spread_top_rows(rng, rows):
+    """Rows of N = 32 whose largest l1 bound is not their largest sup:
+    seven unit modes on block 4's plateau (k = 20..26) with Schroeder
+    phases, which keep their peak low, shifted by a random x, against
+    one mode of amplitude 5 on block 2's plateau (k = 5).  The spread
+    block's bound 2 * 7 beats the single mode's 2 * 5, but its sup
+    falls short of it."""
+    k = np.arange(20, 27)
+    shift = 2.0 * np.pi * rng.random((rows, 1))
+    modes = np.zeros((rows, 32), dtype=complex)
+    modes[:, k - 1] = np.exp(1j * (np.pi * (k - 20) * (k - 19) / 7
+                                   + k * shift))
+    modes[:, 4] = 5.0 * np.exp(2j * np.pi * rng.random(rows))
+    return modes * rng.exponential(size=(rows, 1))
+
+
+def worst_phase_cos_rows(n_modes):
+    """cos(nx + phi) for every n = 1..N, with phi half a node spacing of
+    the 8N grid off its peak, so the sampled sup falls furthest below
+    the l1 bound."""
+    m = _OVERSAMPLE * n_modes
+    n = np.arange(1, n_modes + 1)
+    phase = np.pi * np.gcd(n, m) / m
+    modes = np.zeros((n_modes, n_modes), dtype=complex)
+    modes[n - 1, n - 1] = 0.5 * np.exp(1j * phase)
+    return modes
+
+
 def adversarial_inputs():
     rng = np.random.default_rng(11)
     base = decaying_rows(rng, 1, 32)[0]
@@ -372,6 +403,12 @@ def adversarial_inputs():
         "tight": (tight_rows(20), 16),
         "one-row": (decaying_rows(rng, 1, 32)[0][None, :], 32),
         "sobolev-wins": (sobolev_rows(20), 16),
+        "l1-top-is-not-sup-top": (spread_top_rows(rng, 30), 32),
+        # equal positive coefficients peak at x = 0, a grid node, where
+        # every block attains its l1 bound
+        "physical-spike": (np.full((6, 32), 1.0 / 32)
+                           * np.arange(1, 7)[:, None], 32),
+        "cos-worst-phase": (worst_phase_cos_rows(32), 32),
     }
 
 
@@ -394,6 +431,66 @@ def test_w_sup_matches_full_route_on_adversarial_rows(case, s):
     assert _w_sup(modes, grid, s) == full_w_sup(modes, grid, s)
 
 
+def test_spread_rows_top_bound_and_top_sup_differ():
+    rows = spread_top_rows(np.random.default_rng(11), 30)
+    _, w = _partition_weights(32)
+    bounds = 2.0 * (np.abs(rows) @ w.T)
+    sups = _block_sup_norms(rows, 32)
+    assert np.all(np.argmax(bounds, axis=1) != np.argmax(sups, axis=1))
+
+
+@pytest.fixture(scope="module")
+def sweep_differences():
+    """The arguments of _w_sup in real solves: both Picard solvers at the
+    reconstruction shape (51 nodes, N = 128), and the first sweeps of a
+    paracontrolled solve at the c10 shape (1001 nodes, N = 256)."""
+    captured = {"reconstruction": [], "c10": []}
+    u0 = np.zeros(256, dtype=complex)
+    u0[:3] = (0.08 - 0.02j, 0.03 + 0.01j, -0.015j)
+    orig = gfsb.solver._w_sup
+
+    class Enough(Exception):
+        pass
+
+    for key, n_modes, dt, t_end in (("reconstruction", 128, 4e-4, 0.02),
+                                    ("c10", 256, 1e-4, 0.1)):
+        grid = Grid(n_modes, 1.75)
+        cfg = NoiseConfig(gamma=1.75, epsilon=0.0625, seed=21, dt=dt,
+                          t_end=t_end)
+        data = build_enhanced_data(cfg, grid, RegularityParams(alpha=-0.2,
+                                                               b=0.5))
+        u = FourierField(u0[:n_modes], grid)
+
+        def spy(modes, grid, s, key=key):
+            captured[key].append((modes.copy(), grid, s))
+            if key == "c10" and len(captured[key]) == 4:
+                raise Enough
+            return orig(modes, grid, s)
+
+        gfsb.solver._w_sup = spy
+        try:
+            solve_paracontrolled(data, None, u, tol=1e-12)
+            if key == "reconstruction":
+                gfsb.solver.solve_subcritical(data, None, u, tol=1e-12)
+        except Enough:
+            pass
+        finally:
+            gfsb.solver._w_sup = orig
+    return captured
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("shape", ["reconstruction", "c10"])
+def test_w_sup_matches_full_route_on_sweep_differences(sweep_differences,
+                                                       shape):
+    calls = sweep_differences[shape]
+    assert len(calls) >= 4
+    for modes, grid, s in calls:
+        assert modes.shape == ((51, 128) if shape == "reconstruction"
+                               else (1001, 256))
+        assert _w_sup(modes, grid, s) == full_w_sup(modes, grid, s)
+
+
 def test_w_sup_sides_of_the_adversarial_rows():
     """The tight rows are won by the Hoelder side, the split-mode rows by
     the Sobolev side, so both starts of the running max are exercised."""
@@ -408,8 +505,10 @@ def test_w_sup_sides_of_the_adversarial_rows():
 def test_w_sup_stays_non_finite(bad):
     rng = np.random.default_rng(5)
     grid = Grid(32, 2.0)
-    for where in ((0, 0), (17, 31), (3, 9)):
+    for where in ((0, 0), (17, 31), (3, 9), (5, 7), 8):
         modes = decaying_rows(rng, 20, 32)
+        # row 5 is faint, so its pairs would be skipped were it finite
+        modes[5] *= 1e-9
         modes[where] = bad
         got = _w_sup(modes, grid, 0.25)
         ref = full_w_sup(modes, grid, 0.25)
@@ -418,14 +517,17 @@ def test_w_sup_stays_non_finite(bad):
 
 
 @pytest.fixture
-def rows_read(monkeypatch):
-    """Rows whose block sups _w_sup reads, summed over its calls."""
+def pairs_read(monkeypatch):
+    """(row, block) pairs whose sups _w_sup reads, summed over its
+    calls."""
     counted = []
     full = gfsb.besov._block_sup_norms
 
-    def spy(modes, n_modes):
-        counted.append(math.prod(modes.shape[:-1]))
-        return full(modes, n_modes)
+    def spy(modes, n_modes, pairs=None):
+        counted.append(len(pairs[0]) if pairs is not None else
+                       math.prod(modes.shape[:-1])
+                       * _partition_weights(n_modes)[1].shape[0])
+        return full(modes, n_modes, pairs)
 
     monkeypatch.setattr(gfsb.besov, "_block_sup_norms", spy)
 
@@ -437,26 +539,75 @@ def rows_read(monkeypatch):
     return read
 
 
-def test_w_sup_reads_few_rows_of_decaying_input(rows_read):
+def test_w_sup_reads_few_rows_of_decaying_input(pairs_read):
     """Row amplitudes shrink geometrically, as along a contracting Picard
-    sweep, so the top rows' bounds clear the rest; the Hoelder side wins,
-    so the prune is not won by the Sobolev start alone."""
+    sweep, so the top pairs' bounds clear the rest; the Hoelder side
+    wins, so the prune is not won by the Sobolev start alone.  Of the
+    1600 pairs, those read fill one chunk."""
     rng = np.random.default_rng(2)
     grid = Grid(64, 2.0)
     modes = decaying_rows(rng, 200, 64) * 0.97 ** np.arange(200)[:, None]
     assert _w_sup(modes, grid, 0.9) > np.max(sobolev_norms(modes, grid, 0.9))
-    assert rows_read(modes, grid, 0.9) < 100
+    assert 0 < pairs_read(modes, grid, 0.9) <= _SUP_ROWS
 
 
-def test_w_sup_reads_every_row_when_bounds_tie_tight(rows_read):
-    assert rows_read(tight_rows(40), Grid(16, 2.0), 0.5) == 40
+def test_w_sup_reads_every_row_when_bounds_tie_tight(pairs_read):
+    """Each tight row has one block with a nonzero bound, and every such
+    pair attains its bound, so all 40 are read and no other pair is."""
+    assert pairs_read(tight_rows(40), Grid(16, 2.0), 0.5) == 40
 
 
 @pytest.mark.parametrize("modes", [np.zeros((40, 16), dtype=complex),
                                    sobolev_rows(40)],
                          ids=["all-zero", "sobolev-wins"])
-def test_w_sup_reads_no_row_under_the_sobolev_max(rows_read, modes):
-    assert rows_read(modes, Grid(16, 2.0), 0.5) == 0
+def test_w_sup_reads_no_row_under_the_sobolev_max(pairs_read, modes):
+    assert pairs_read(modes, Grid(16, 2.0), 0.5) == 0
+
+
+@pytest.mark.parametrize("n_modes,batch", [(7, (5,)), (128, (51,)),
+                                           (32, (3, 17))])
+def test_block_sup_pairs_match_the_full_table(n_modes, batch):
+    """Sups read pair by pair, in any order and with repeats, equal the
+    entries of the every-block table bit for bit."""
+    rng = np.random.default_rng(n_modes + len(batch))
+    modes = random_modes(rng, batch + (n_modes,))
+    rows = modes.reshape(-1, n_modes)
+    table = _block_sup_norms(rows, n_modes)
+    flat = rng.integers(0, table.size, 3 * _SUP_ROWS + 5)
+    r, b = np.divmod(flat, table.shape[1])
+    assert np.array_equal(_block_sup_norms(rows, n_modes, (r, b)),
+                          table[r, b])
+
+
+def test_read_sups_of_zero_rows_are_positive_zeros():
+    """max(x.max(), -x.min()) of a zero row can come out as -0.0; the
+    reader returns +0.0, as max |x| does."""
+    out = _block_sup_norms(np.zeros((3, 16), dtype=complex), 16)
+    assert not np.any(out) and not np.any(np.signbit(out))
+
+
+def unfused_band_window_sups(modes, n_modes, js):
+    """Each block's sup over all rows as max |x| of one transform of
+    every row's band, with no chunks and no fused max."""
+    _, w = _partition_weights(n_modes)
+    out = []
+    for j in js:
+        hi = int(np.nonzero(w[j + 1])[0][-1]) + 1
+        n_phys = 1 << max(4, int(np.ceil(np.log2(8 * hi))))
+        band = modes[:, :hi] * w[j + 1][:hi]
+        out.append(float(np.max(np.abs(modes_to_physical(band, n_phys)))))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("rows,n_modes", [(301, 1024), (40, 64), (1, 16)])
+def test_band_window_sups_match_unfused_route(rows, n_modes):
+    """c06's ladder sups go through the solver norm's chunked reader."""
+    rng = np.random.default_rng(rows)
+    modes = decaying_rows(rng, rows, n_modes)
+    modes[rows // 2] = 0.0
+    js = np.arange(-1, DyadicPartition(n_modes).j_max + 1)
+    assert np.array_equal(_band_window_sups(modes, n_modes, js),
+                          unfused_band_window_sups(modes, n_modes, js))
 
 
 # ------------------------------------------------ pre-sampled fixed factors

@@ -402,6 +402,39 @@ def test_blowup_ceiling_trips(slab_regime):
         solve_paracontrolled(data, None, u0, t_end=0.1, ceiling=1e-4)
 
 
+def test_mollified_ceiling_trips(slab_regime):
+    grid, cfg, u0, _, _ = slab_regime
+    with pytest.raises(BlowupDetected,
+                       match="^oversampled sup .* exceeds ceiling .* at t = "):
+        solve_mollified(cfg, u0, t_end=0.01, ceiling=1e-3)
+
+
+def test_mollified_ceiling_between_sup_and_l1_bound(monkeypatch):
+    """|cos x - sin 2x| peaks at 1.7602 while its l1 bound is 2, and with
+    no noise the flow stays below 1.9.  A ceiling of 1.9 must not trip,
+    although the bound exceeds it, so every step is read; under the
+    default ceiling the bound alone clears every step."""
+    grid = Grid(n_modes=16, gamma=1.75)
+    cfg = NoiseConfig(gamma=1.75, epsilon=0.0, seed=0, dt=1e-3, t_end=0.02,
+                      noise_scale=0.0)
+    u0 = _u0(grid, (0.5, 0.5j))
+    reads = []
+    full = gfsb.solver.modes_to_physical
+
+    def spy(modes, n_points):
+        reads.append(n_points)
+        return full(modes, n_points)
+
+    monkeypatch.setattr(gfsb.solver, "modes_to_physical", spy)
+    traj = solve_mollified(cfg, u0, ceiling=1.9)
+    assert len(reads) == len(traj.times)
+    sups = np.max(np.abs(full(traj.modes, 8 * 16)), axis=-1)
+    assert 1.76 < sups[0] < 1.7602 and np.all(sups < 1.9)
+    reads.clear()
+    solve_mollified(cfg, u0)
+    assert reads == []
+
+
 def test_no_contraction_at_the_slab_floor(slab_regime):
     grid, cfg, u0, data, _ = slab_regime
     with pytest.raises(NoContraction):
