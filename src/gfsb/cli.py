@@ -24,7 +24,7 @@ from .harness import (
     load_spec,
     run,
 )
-from .noise import NoiseConfig, save_trajectory
+from .noise import NoiseConfig, sample_Y, save_trajectory
 from .solver import (
     build_enhanced_data,
     solve_mollified,
@@ -132,7 +132,6 @@ def tree_algebra(max_leaves, alpha, b, out):
 def sample_tree(symbol, gamma, epsilon, n_modes, dt, t_end, seed, stride, out):
     """Sample the forced flow and persist one tree trajectory."""
     from .construct import build_tree_family
-    from .noise import sample_Y
     try:
         grid = Grid(n_modes=n_modes, gamma=gamma)
         config = NoiseConfig(gamma=gamma, epsilon=epsilon, seed=seed,
@@ -142,14 +141,14 @@ def sample_tree(symbol, gamma, epsilon, n_modes, dt, t_end, seed, stride, out):
     except (GFSBError, ValueError) as exc:
         raise click.UsageError(str(exc))
     if stride <= 0:
-        stride = max(1, len(tree.trajectory) // 200)
+        stride = max(1, len(tree) // 200)
     directory = Path(out) / symbol
-    save_trajectory(tree.trajectory, directory, stride=stride,
+    save_trajectory(tree, directory, stride=stride,
                     meta={"symbol": symbol, "gamma": gamma,
                           "epsilon": epsilon, "seed": seed, "dt": dt,
                           "t_end": t_end})
     click.echo(f"wrote {directory}/manifest.json "
-               f"({1 + (len(tree.trajectory) - 1) // stride} snapshots)")
+               f"({1 + (len(tree) - 1) // stride} snapshots)")
 
 
 # -------------------------------------------------------- quick checkers
@@ -241,8 +240,9 @@ def solve(mode, config_path, stride, out):
     tol = raw["tol"]
     out_dir = Path(out) / mode
     try:
+        y = sample_Y(cfg, grid)
         if mode == "direct":
-            traj = solve_mollified(cfg, u0)
+            traj = solve_mollified(y, u0)
             diagnostics = {"mode": mode,
                            "mild_residual": traj.meta["mild_residual"],
                            "max_step_iterations":
@@ -251,7 +251,7 @@ def solve(mode, config_path, stride, out):
             coeffs = CoefficientMap.from_dict(
                 {key[len("coeff_"):]: value for key, value in raw.items()
                  if key.startswith("coeff_")})
-            data = build_enhanced_data(cfg, grid, params)
+            data = build_enhanced_data(y, params)
             if mode == "subcritical":
                 state = solve_subcritical(data, coeffs, u0, tol=tol)
             else:
@@ -319,6 +319,8 @@ def run_spec(spec_file, out, plot_data):
     click.echo(f"{spec.name} [{spec.kind}] seeds={len(spec.seeds)}")
     try:
         manifest = run(spec)
+    except ValidationError as exc:
+        raise click.UsageError(str(exc))
     except TaskFailure as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)

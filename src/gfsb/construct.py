@@ -1,26 +1,25 @@
 """Gaussian input hierarchy: the forced flow and its integrated trees.
 
-Starting from a stationary forced-flow trajectory Y, the quadratic tree
-integrates the transported square of Y against the dissipative flow, and
-the cubic tree integrates the product of that result with Y again:
+Starting from a forced-flow trajectory Y, the quadratic tree integrates
+the transported square of Y against the dissipative flow, and the cubic
+tree integrates the product of that result with Y again:
 
     quadratic = Flow * [c d/dx (Y^2)],   cubic = Flow * [c d/dx (quad Y)],
 
 where Flow* is the Duhamel convolution with e^{t L}, L = -|D|^gamma, and
 c is the nonlinearity strength.  Built "from minus infinity" these are
-stationary objects; `recenter` converts them to the zero-initial-data
-versions (exactly zero at the first node) that the fixed-point solvers
-consume.  All recursions use the exact per-mode integrating factor, so
-there is no stiffness constraint from large |k|^gamma dt.
+stationary objects.  The fixed-point solvers consume the zero-initial-
+data versions instead (exactly zero at the first node): `recenter`
+subtracts the propagated start from the quadratic tree, and the cubic
+tree is then integrated from zero against it.  All recursions use the
+exact per-mode integrating factor, so there is no stiffness constraint
+from large |k|^gamma dt.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import GridMismatch, UnknownSymbol
 from .kernels import DEFAULT_COUPLING
 from .spectral import Grid, derivative_symbol, product_modes
 from .trajectory import Trajectory
@@ -49,24 +48,6 @@ def duhamel_scan(forcing: np.ndarray, decay: np.ndarray,
     return out
 
 
-def duhamel_integrate(forcing: Trajectory, gamma: float | None = None,
-                      from_minus_infinity: bool = False) -> Trajectory:
-    """Mild solution of dF/dt = -|D|^gamma F + g with F = 0 at the first
-    node, or, with ``from_minus_infinity``, the stationary response to a
-    forcing frozen at its first value over the infinite past (initial
-    value g_0/|k|^gamma, which subsequent nodes relax away from at rate
-    |k|^gamma)."""
-    g = gamma if gamma is not None else forcing.grid.gamma
-    rates = forcing.grid.wavenumbers ** g
-    decay = np.exp(-rates * forcing.dt)
-    weight = (1.0 - decay) / rates
-    init = forcing.modes[0] / rates if from_minus_infinity else None
-    modes = duhamel_scan(forcing.modes, decay, weight, init=init)
-    return Trajectory(forcing.times, modes, forcing.grid,
-                      meta={"kind": "duhamel",
-                            "from_minus_infinity": from_minus_infinity})
-
-
 def bilinear_forcing(a: np.ndarray, b: np.ndarray, grid: Grid,
                      coupling: float = DEFAULT_COUPLING) -> np.ndarray:
     """c d/dx (a b) in mode space, batched over leading axes."""
@@ -77,109 +58,41 @@ def bilinear_forcing(a: np.ndarray, b: np.ndarray, grid: Grid,
 # ---------------------------------------------------------------- trees
 
 
-@dataclass(frozen=True)
-class TreeTrajectory:
-    """A tree-indexed trajectory plus how it was built."""
+def recenter(traj: Trajectory) -> Trajectory:
+    """modes(t) - e^{(t - t0) L} modes(t0): exactly zero at the first node.
 
-    symbol: str
-    trajectory: Trajectory
-    provenance: dict
-
-    @property
-    def modes(self) -> np.ndarray:
-        return self.trajectory.modes
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.trajectory.times
-
-
-def build_quadratic_tree(base: Trajectory,
-                         coupling: float = DEFAULT_COUPLING
-                         ) -> TreeTrajectory:
-    """Stationary quadratic tree: Flow * [c d/dx (Y^2)] from the far past."""
-    forcing = bilinear_forcing(base.modes, base.modes, base.grid, coupling)
-    traj = duhamel_integrate(
-        Trajectory(base.times, forcing, base.grid),
-        from_minus_infinity=True)
-    return TreeTrajectory(symbol="lr", trajectory=traj,
-                          provenance={"kind": "quadratic",
-                                      "coupling": coupling,
-                                      "base": base,
-                                      "recentered": False})
-
-
-def build_cubic_tree(base: Trajectory, quadratic: TreeTrajectory,
-                     coupling: float = DEFAULT_COUPLING) -> TreeTrajectory:
-    """Stationary cubic tree: Flow * [c d/dx (quadratic Y)]."""
-    if quadratic.symbol != "lr":
-        raise UnknownSymbol(
-            f"cubic tree builds on 'lr', got {quadratic.symbol!r}")
-    if quadratic.trajectory.grid != base.grid:
-        raise GridMismatch("tree and base live on different grids")
-    forcing = bilinear_forcing(quadratic.modes, base.modes, base.grid,
-                               coupling)
-    traj = duhamel_integrate(
-        Trajectory(base.times, forcing, base.grid),
-        from_minus_infinity=True)
-    return TreeTrajectory(symbol="rLlr", trajectory=traj,
-                          provenance={"kind": "cubic",
-                                      "coupling": coupling,
-                                      "base": base,
-                                      "quadratic": quadratic.trajectory,
-                                      "recentered": False})
-
-
-def build_tree_family(base: Trajectory,
-                      coupling: float = DEFAULT_COUPLING) -> dict:
-    """The full canonical hierarchy keyed by tree symbol."""
-    quad = build_quadratic_tree(base, coupling)
-    cubic = build_cubic_tree(base, quad, coupling)
-    noise = TreeTrajectory(symbol="n", trajectory=base,
-                           provenance={"kind": "base", "coupling": coupling,
-                                       "recentered": False})
-    return {"n": noise, "lr": quad, "rLlr": cubic}
-
-
-# ---------------------------------------------------------------- recenter
-
-
-def _subtract_propagated_start(traj: Trajectory) -> np.ndarray:
-    """modes(t) - e^{(t - t0) L} modes(t0); exactly zero at the first node."""
+    A stationary tree and its zero-initial-data version obey the same
+    forced equation, so their difference is this free flow.
+    """
     grid = traj.grid
     rates = grid.wavenumbers ** grid.gamma
     elapsed = traj.times - traj.times[0]
     decay = np.exp(-np.outer(elapsed, rates))
-    return traj.modes - decay * traj.modes[0]
+    return Trajectory(traj.times, traj.modes - decay * traj.modes[0], grid)
 
 
-def recenter(tree: TreeTrajectory) -> TreeTrajectory:
-    """Zero-initial-data version of a stationary tree.
+def build_tree_family(base: Trajectory, coupling: float = DEFAULT_COUPLING,
+                      *, recentered: bool = False) -> dict:
+    """The canonical hierarchy of the forced flow ``base``, keyed by tree
+    symbol: ``base`` itself, the quadratic and the cubic tree.
 
-    The quadratic tree recenters by subtracting the propagated initial
-    slice (the two solutions obey the same forced equation, so their
-    difference is a free flow).  The cubic tree's forcing itself changes
-    under recentering, so it is rebuilt from zero with the recentered
-    quadratic tree in the product.
+    Each tree is integrated from minus infinity (a forcing frozen at its
+    first value over the infinite past, so it starts at g_0/|k|^gamma),
+    or, with ``recentered``, from zero: the quadratic tree is recentred
+    and the cubic tree is integrated from zero against it (its forcing
+    changes with the quadratic tree, so subtraction cannot recentre it).
     """
-    if tree.symbol == "lr":
-        modes = _subtract_propagated_start(tree.trajectory)
-        traj = Trajectory(tree.times, modes, tree.trajectory.grid)
-        prov = dict(tree.provenance)
-        prov["recentered"] = True
-        return TreeTrajectory(symbol="lr", trajectory=traj, provenance=prov)
-    if tree.symbol == "rLlr":
-        base = tree.provenance["base"]
-        quad = tree.provenance["quadratic"]
-        xlr = _subtract_propagated_start(quad)
-        coupling = tree.provenance["coupling"]
-        forcing = bilinear_forcing(xlr, base.modes, base.grid, coupling)
-        traj = duhamel_integrate(
-            Trajectory(base.times, forcing, base.grid),
-            from_minus_infinity=False)
-        prov = dict(tree.provenance)
-        prov["recentered"] = True
-        return TreeTrajectory(symbol="rLlr", trajectory=traj,
-                              provenance=prov)
-    raise UnknownSymbol(
-        f"recenter knows 'lr' and 'rLlr', got {tree.symbol!r}")
+    grid = base.grid
+    rates = grid.wavenumbers ** grid.gamma
+    decay = np.exp(-rates * base.dt)
+    weight = (1.0 - decay) / rates
+
+    g = bilinear_forcing(base.modes, base.modes, grid, coupling)
+    quad = Trajectory(base.times,
+                      duhamel_scan(g, decay, weight, init=g[0] / rates), grid)
+    if recentered:
+        quad = recenter(quad)
+    g = bilinear_forcing(quad.modes, base.modes, grid, coupling)
+    cubic = Trajectory(base.times, duhamel_scan(
+        g, decay, weight, init=None if recentered else g[0] / rates), grid)
+    return {"n": base, "lr": quad, "rLlr": cubic}

@@ -15,10 +15,6 @@ class PreconditionViolated(GFSBError):
     """A stated hypothesis of a verification routine fails."""
 
 
-class UnknownSymbol(GFSBError):
-    """Operation requested for a tree symbol it does not support."""
-
-
 # --- spectral core ---
 
 class GridMismatch(GFSBError):

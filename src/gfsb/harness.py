@@ -878,7 +878,6 @@ def _run_eps_convergence(params, seeds):
                for m in params["levels"]]
     u0 = _u0_field(params["u0_modes"], grid)
     report = epsilon_convergence_study(configs, list(seeds), u0,
-                                       params["t_end"],
                                        exponent=params["exponent"])
 
     def monotone(medians):
@@ -953,7 +952,7 @@ def _consistency_degeneration(params):
     cfg = NoiseConfig(gamma=gamma, epsilon=0.0, seed=params["seed"],
                       dt=params["dt"], t_end=params["t_end"],
                       noise_scale=0.0)
-    direct = solve_mollified(cfg, u0)
+    direct = solve_mollified(sample_Y(cfg, grid), u0)
     data = zero_enhanced_data(grid, direct.times, reg)
     sub = solve_subcritical(data, None, u0, tol=params["solve_tol"])
     para = solve_paracontrolled(data, None, u0, tol=params["solve_tol"])
@@ -965,7 +964,7 @@ def _consistency_degeneration(params):
         c = NoiseConfig(gamma=gamma, epsilon=0.0, seed=params["seed"],
                         dt=h, t_end=params["residual_t_end"],
                         noise_scale=0.0)
-        traj = solve_mollified(c, u0)
+        traj = solve_mollified(sample_Y(c, grid), u0)
         residuals.append((h, traj.meta["mild_residual"]["value"]))
     orders = [math.log2(r0 / r1)
               for (h0, r0), (h1, r1) in zip(residuals, residuals[1:])]
@@ -1001,8 +1000,9 @@ def _consistency_reconstruction(params):
     cfg = NoiseConfig(gamma=gamma, epsilon=params["epsilon"],
                       seed=params["seed"], dt=params["dt"],
                       t_end=params["t_end"])
-    direct = solve_mollified(cfg, u0)
-    data = build_enhanced_data(cfg, grid, reg)
+    y = sample_Y(cfg, grid)
+    direct = solve_mollified(y, u0)
+    data = build_enhanced_data(y, reg)
     sub = solve_subcritical(data, None, u0, tol=params["solve_tol"])
     para = solve_paracontrolled(data, None, u0, tol=params["solve_tol"])
     s = params["exponent"]
@@ -1041,7 +1041,7 @@ def _run_dependence_probe(params, seeds):
     cfg = NoiseConfig(gamma=gamma, epsilon=params["epsilon"],
                       seed=params["seed"], dt=params["dt"],
                       t_end=params["t_end"])
-    data = build_enhanced_data(cfg, grid, reg)
+    data = build_enhanced_data(sample_Y(cfg, grid), reg)
     u0 = _u0_field(params["u0_modes"], grid)
     report = dependence_ladder(data, u0, params["t_end"],
                                sizes=params["sizes"], tol=params["tol"])

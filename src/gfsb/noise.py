@@ -35,9 +35,6 @@ from .errors import (
 from .spectral import Grid, Mollifier, read_snapshot, write_snapshot
 from .trajectory import Trajectory
 
-PURPOSE_STATIONARY = 0
-
-
 @dataclass(frozen=True)
 class NoiseConfig:
     gamma: float
@@ -61,10 +58,13 @@ class NoiseConfig:
             raise ValidationError("dt and t_end must be positive")
         if self.dt > self.t_end + 1e-12:
             raise ValidationError("dt exceeds t_end")
+        if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ValidationError(
+                f"t_end {self.t_end} is not a multiple of dt {self.dt}")
 
     @property
     def n_steps(self) -> int:
-        return int(math.floor(self.t_end / self.dt + 1e-9))
+        return round(self.t_end / self.dt)
 
     @property
     def times(self) -> np.ndarray:
@@ -127,11 +127,11 @@ def _ou_path(config: NoiseConfig, grid: Grid, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_Y(config: NoiseConfig, grid: Grid,
-             purpose: int = PURPOSE_STATIONARY) -> Trajectory:
-    """Stationary forced-flow trajectory on [0, t_end]."""
+def sample_Y(config: NoiseConfig, grid: Grid) -> Trajectory:
+    """Stationary forced-flow trajectory on [0, t_end], drawn from the
+    (seed, 0) stream."""
     check_grid(config, grid)
-    z = _normals(config.seed, purpose,
+    z = _normals(config.seed, 0,
                  (config.n_steps + 1, grid.n_modes, 2))
     modes = _ou_path(config, grid, z)
     return Trajectory(config.times, modes, grid,

@@ -6,6 +6,8 @@ common regime:
 * ``solve_mollified`` steps the full equation for u directly, writing
   u = w + Y so the rough forcing enters through the exactly-sampled
   forced flow and only the quadratic transport is stepped numerically.
+  The caller samples Y once and passes the same trajectory here and to
+  ``build_enhanced_data``, whose trees the two Picard routes consume.
 * ``solve_subcritical`` iterates the remainder v = u - (coefficient-
   weighted trees); its forcing collects the pairwise tree products whose
   regularities sum positively, plus the cross term against the trees.
@@ -44,12 +46,12 @@ import numpy as np
 
 from .besov import (_OVERSAMPLE, TimeMollifierBank, _sample, holder_norms,
                     intersection_sup, modified_paraproduct, sobolev_norms)
-from .construct import (DEFAULT_COUPLING, TreeTrajectory, bilinear_forcing,
-                        build_tree_family, duhamel_scan, recenter)
+from .construct import (DEFAULT_COUPLING, bilinear_forcing, build_tree_family,
+                        duhamel_scan)
 from .errors import (BlowupDetected, ConfigMismatch, DomainError,
                      GridMismatch, NoContraction, NonpositiveOrder,
                      PreconditionViolated, TimeGridMismatch, ValidationError)
-from .noise import PURPOSE_STATIONARY, NoiseConfig, sample_Y
+from .noise import sample_Y
 from .spectral import (FourierField, Grid, derivative_symbol,
                        modes_to_physical, product_modes)
 from .trajectory import Trajectory
@@ -91,17 +93,6 @@ def _freeflow(init: np.ndarray, rates: np.ndarray,
 
 
 # ---------------------------------------------------------- time bookkeeping
-
-
-def _rounded_config(config: NoiseConfig, t_end: float | None) -> NoiseConfig:
-    """Config whose horizon lands exactly on the step grid."""
-    horizon = config.t_end if t_end is None else float(t_end)
-    steps = int(round(horizon / config.dt))
-    if steps < 1 or abs(steps * config.dt - horizon) > 1e-9 * max(
-            horizon, config.dt):
-        raise ValidationError(
-            f"t_end {horizon} is not a positive multiple of dt {config.dt}")
-    return dataclasses.replace(config, t_end=steps * config.dt)
 
 
 def _clip_times(times: np.ndarray, t_end: float | None) -> np.ndarray:
@@ -178,17 +169,16 @@ def mild_residual(traj: Trajectory, forcing: np.ndarray,
     return {"value": max(out.values()), "checkpoints": out}
 
 
-def solve_mollified(config: NoiseConfig, u0: FourierField,
-                    t_end: float | None = None, *,
+def solve_mollified(y: Trajectory, u0: FourierField, *,
                     coupling: float = DEFAULT_COUPLING,
                     ceiling: float = DEFAULT_CEILING,
                     step_tol: float = 1e-12,
                     max_step_iter: int = 50) -> Trajectory:
     """March the full equation; initial state is u0 plus the forced flow.
 
-    The forced flow Y is sampled exactly per mode and subtracted from
-    the unknown, so the marched remainder w = u - Y sees only the
-    transported square.  Each step solves the trapezoid relation
+    ``y`` is the sampled forced flow Y on the step grid; it is
+    subtracted from the unknown, so the marched remainder w = u - Y sees
+    only the transported square.  Each step solves the trapezoid relation
     implicitly (fixed point in the new node), which keeps the step a
     strict evaluation of the same discrete map the Picard solvers
     converge to; a step still short of ``step_tol`` after
@@ -197,11 +187,13 @@ def solve_mollified(config: NoiseConfig, u0: FourierField,
     its own integral identity exactly by construction.
     """
     grid = u0.grid
-    cfg = _rounded_config(config, t_end)
-    y = sample_Y(cfg, grid).modes
-    times = cfg.times
-    rates = grid.wavenumbers ** cfg.gamma
-    decay = np.exp(-rates * cfg.dt)
+    if grid != y.grid:
+        raise GridMismatch("initial data and forced flow live on "
+                           "different grids")
+    times = y.times
+    rates = grid.wavenumbers ** grid.gamma
+    decay = np.exp(-rates * y.dt)
+    y = y.modes
     half = 0.5 * (1.0 - decay) / rates
     deriv = derivative_symbol(grid)
     n_mod = grid.n_modes
@@ -242,7 +234,7 @@ def solve_mollified(config: NoiseConfig, u0: FourierField,
     u = w + y
     residual = mild_residual(
         Trajectory(times, w, grid),
-        coupling * deriv * product_modes(u, u, n_mod), gamma=cfg.gamma)
+        coupling * deriv * product_modes(u, u, n_mod))
     return Trajectory(times, u, grid, meta={
         "kind": "mollified", "coupling": coupling,
         "mild_residual": residual, "max_step_iterations": worst})
@@ -268,7 +260,7 @@ class EnhancedData:
 
     @classmethod
     def build(cls, trees: dict, params: RegularityParams) -> "EnhancedData":
-        keyed: dict[str, TreeTrajectory] = {}
+        keyed: dict[str, Trajectory] = {}
         for key, tree in trees.items():
             name = key.canonical_key if isinstance(key, TreeSymbol) else str(key)
             keyed[name] = tree
@@ -278,7 +270,7 @@ class EnhancedData:
         syms = {k: parse_symbol(k) for k in keyed}
         ref = next(iter(keyed.values()))
         for name, tree in keyed.items():
-            if tree.trajectory.grid != ref.trajectory.grid:
+            if tree.grid != ref.grid:
                 raise GridMismatch(
                     f"tree {name!r} lives on a different grid")
             if len(tree.times) != len(ref.times) or np.max(
@@ -295,56 +287,34 @@ class EnhancedData:
                         raise ValidationError(
                             f"product closure violated: ({ka!r}, {kb!r}) "
                             f"needs {need!r}")
-        grid = ref.trajectory.grid
+        grid = ref.grid
         norm = max(_w_sup(_norm_nodes(tree.modes), grid, rs[k])
                    for k, tree in keyed.items())
         return cls(dict(keyed), params, norm)
 
     @property
     def grid(self) -> Grid:
-        return next(iter(self.trees.values())).trajectory.grid
+        return next(iter(self.trees.values())).grid
 
     @property
     def times(self) -> np.ndarray:
         return next(iter(self.trees.values())).times
 
-    def tree(self, key) -> TreeTrajectory:
-        name = key.canonical_key if isinstance(key, TreeSymbol) else str(key)
-        return self.trees[name]
-
 
 def zero_enhanced_data(grid: Grid, times: np.ndarray,
                        params: RegularityParams) -> EnhancedData:
     """All-zero input family: the solvers degenerate to the plain flow."""
-    zeros = np.zeros((len(times), grid.n_modes), dtype=np.complex128)
-    trees = {}
-    for key in (GENERATOR_KEY, "lr", "rLlr"):
-        traj = Trajectory(times, zeros, grid)
-        trees[key] = TreeTrajectory(symbol=key, trajectory=traj,
-                                    provenance={"kind": "zero"})
-    return EnhancedData.build(trees, params)
-
-
-def build_enhanced_data(config: NoiseConfig, grid: Grid,
-                        params: RegularityParams, *,
-                        coupling: float = DEFAULT_COUPLING,
-                        purpose: int = PURPOSE_STATIONARY,
-                        recentered: bool = True) -> EnhancedData:
-    """Sample the forced flow and wrap its tree hierarchy as solver input."""
+    zeros = Trajectory(times, np.zeros((len(times), grid.n_modes)), grid)
     return EnhancedData.build(
-        _tree_family(sample_Y(config, grid, purpose), coupling, recentered),
-        params)
+        {key: zeros for key in (GENERATOR_KEY, "lr", "rLlr")}, params)
 
 
-def _tree_family(base: Trajectory, coupling: float,
-                 recentered: bool) -> dict:
-    """The integrated trees of the forced flow ``base``, every one but
-    the generator recentred on request."""
-    family = build_tree_family(base, coupling)
-    if recentered:
-        family = {k: (tree if k == GENERATOR_KEY else recenter(tree))
-                  for k, tree in family.items()}
-    return family
+def build_enhanced_data(y: Trajectory, params: RegularityParams, *,
+                        coupling: float = DEFAULT_COUPLING) -> EnhancedData:
+    """Wrap the zero-start tree hierarchy of the sampled forced flow ``y``
+    as solver input."""
+    return EnhancedData.build(
+        build_tree_family(y, coupling, recentered=True), params)
 
 
 def enhanced_difference(a: EnhancedData, b: EnhancedData) -> float:
@@ -628,7 +598,6 @@ class ParacontrolledState:
 def solve_paracontrolled(data: EnhancedData, coefficients, u0: FourierField,
                          t_end: float | None = None,
                          tol: float = DEFAULT_TOL, *,
-                         closure_route: str = "exact",
                          coupling: float = DEFAULT_COUPLING,
                          max_iter: int = DEFAULT_MAX_ITER,
                          s: float | None = None,
@@ -649,16 +618,10 @@ def solve_paracontrolled(data: EnhancedData, coefficients, u0: FourierField,
     c d/dx(X_lr^2) + c d/dx(u' (u' + 2 X_lr + 2 y)): one product per
     sweep, which no longer forms the pairings one by one (c01 checks
     the split, and a unit test checks this forcing against the pairing
-    form).  ``closure_route`` selects how the minus-generator term on
-    the time-smoothed paraproduct is re-integrated:
-
-    * ``"exact"``: the scan of that part is replaced by the paraproduct
-      trajectory itself, using the discrete inverse of the Duhamel scan
-      (the two cancel node-by-node because the paraproduct starts at 0).
-    * ``"finite-difference"``: the part enters the forcing as the
-      time-derivative (centered differences) plus the spectral
-      dissipation of the paraproduct trajectory, and is scanned like
-      every other term.
+    form).  The minus-generator term on the time-smoothed paraproduct
+    is closed exactly: its scan is the paraproduct trajectory itself,
+    by the discrete inverse of the Duhamel scan (the two cancel node by
+    node because the paraproduct starts at 0).
 
     What depends only on the trees is formed once per slab attempt: the
     square of X_lr, 2 (X_lr + y), and Q sampled on every block grid of
@@ -666,8 +629,6 @@ def solve_paracontrolled(data: EnhancedData, coefficients, u0: FourierField,
     Blow-up is monitored on the combined functional
     (u' at exponent s) + 2 (u# at exponent 2s).
     """
-    if closure_route not in ("exact", "finite-difference"):
-        raise ValidationError(f"unknown closure route {closure_route!r}")
     params = data.params
     if not params.gains_regularity:
         raise PreconditionViolated(
@@ -729,13 +690,10 @@ def solve_paracontrolled(data: EnhancedData, coefficients, u0: FourierField,
             # lower(u', y) + resonant(u', y) + lower(y, u') = u' y
             rhs = tree_square + bilinear_forcing(prime_new, prime_new + drive,
                                                  grid, coupling)
-            if closure_route == "finite-difference":
-                rhs = rhs - (np.gradient(para, dt, axis=0) + rates * para)
-            sharp_new = duhamel_scan(rhs[i0:hi], decay, weight,
-                                     init=u_sharp[i0])
-            if closure_route == "exact":
-                sharp_new = sharp_new - (
-                    para[i0:hi] - _freeflow(para[i0], rates, rel))
+            scanned = duhamel_scan(rhs[i0:hi], decay, weight,
+                                   init=u_sharp[i0])
+            sharp_new = scanned - (para[i0:hi]
+                                   - _freeflow(para[i0], rates, rel))
             d_sharp = _w_sup(sharp_new - sharp_cur, grid, s)
             return sharp_new, max(d_sharp, d_prime)
 
@@ -761,8 +719,7 @@ def solve_paracontrolled(data: EnhancedData, coefficients, u0: FourierField,
     uq_final = para_final + u_sharp
     residual = _w_sup(u_prime - (xr_s + para_final + u_sharp), grid, s)
     diagnostics = {"s": s, "tol": tol, "coupling": coupling, "slabs": slabs,
-                   "ansatz_residual": residual,
-                   "closure_route": closure_route}
+                   "ansatz_residual": residual}
     return ParacontrolledState(
         u_prime=Trajectory(times, u_prime, grid, meta={"kind": "riding"}),
         u_sharp=Trajectory(times, u_sharp, grid, meta={"kind": "sharp"}),
@@ -937,16 +894,15 @@ def dependence_ladder(data: EnhancedData, u0: FourierField,
 # ------------------------------------------------------ mollifier ladders
 
 
-def epsilon_convergence_study(configs, seeds, u0: FourierField,
-                              t_end: float | None = None, *,
+def epsilon_convergence_study(configs, seeds, u0: FourierField, *,
                               coupling: float = DEFAULT_COUPLING,
-                              exponent: float = -0.3,
-                              recentered: bool = True) -> dict:
+                              exponent: float = -0.3) -> dict:
     """Coupled-noise Cauchy differences down a mollification ladder.
 
     All configs must agree except in their mollification width; per
     seed, every rung reuses the same underlying draw, so successive
-    solutions and trees differ only through the width.  Reports, per
+    solutions and trees differ only through the width.  Each (seed,
+    rung) samples the forced flow once, for its solve and its trees.  Reports, per
     rung, the median over seeds of the sup-in-time sobolev difference
     at ``exponent`` for the solution and for each tree, the fraction of
     seeds decreasing at every rung, and the root-mean-square (ensemble)
@@ -971,11 +927,9 @@ def epsilon_convergence_study(configs, seeds, u0: FourierField,
     for i, seed in enumerate(seeds):
         sols, families = [], []
         for cfg in configs:
-            cfg_s = dataclasses.replace(cfg, seed=int(seed))
-            sols.append(solve_mollified(cfg_s, u0, t_end,
-                                        coupling=coupling).modes)
-            fam = _tree_family(sample_Y(_rounded_config(cfg_s, t_end), grid),
-                               coupling, recentered)
+            y = sample_Y(dataclasses.replace(cfg, seed=int(seed)), grid)
+            sols.append(solve_mollified(y, u0, coupling=coupling).modes)
+            fam = build_tree_family(y, coupling, recentered=True)
             families.append({k: tr.modes for k, tr in fam.items()})
         for m in range(len(configs) - 1):
             sol_diffs[i, m] = ct_norm(sols[m] - sols[m + 1])

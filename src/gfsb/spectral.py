@@ -85,10 +85,6 @@ class FourierField:
     # ------------------------------------------------------------ factories
 
     @classmethod
-    def zero(cls, grid: Grid) -> "FourierField":
-        return cls(np.zeros(grid.n_modes, dtype=np.complex128), grid)
-
-    @classmethod
     def pure_mode(cls, grid: Grid, k: int, coeff: complex = 1.0) -> "FourierField":
         """Field c e^{ikx} + conj, i.e. 2|c| cos(kx + arg c)."""
         if not (1 <= k <= grid.n_modes):

@@ -68,7 +68,7 @@ def test_pure_mode_in_plateau_owned_by_one_block():
 
 
 def test_block_of_zero_field_is_zero():
-    z = FourierField.zero(G16)
+    z = FourierField(np.zeros(16, dtype=complex), G16)
     assert np.all(lp_block(z, 0).modes == 0)
 
 

@@ -1,5 +1,5 @@
-"""Tree constructor: Duhamel integration, frequency bookkeeping,
-recentering, and sampled covariances against the closed-form kernels."""
+"""Tree constructor: Duhamel scans, frequency bookkeeping, the zero-start
+family, and sampled covariances against the closed-form kernels."""
 
 import math
 
@@ -7,16 +7,13 @@ import numpy as np
 import pytest
 
 from gfsb.construct import (
-    TreeTrajectory,
+    DEFAULT_COUPLING,
     bilinear_forcing,
-    build_cubic_tree,
-    build_quadratic_tree,
     build_tree_family,
-    duhamel_integrate,
     duhamel_scan,
     recenter,
 )
-from gfsb.errors import GridMismatch, NonuniformGrid, UnknownSymbol
+from gfsb.errors import NonuniformGrid
 from gfsb.kernels import pair_kernel, quadratic_tree_covariance
 from gfsb.noise import NoiseConfig, _normals, _ou_path, sample_Y
 from gfsb.spectral import Grid
@@ -27,6 +24,13 @@ def _uniform_times(dt, t_end):
     return np.arange(0, int(round(t_end / dt)) + 1) * dt
 
 
+def _scan_constants(grid, dt):
+    """Per-mode rates |k|^gamma, one-step decay and trapezoid weight."""
+    rates = grid.wavenumbers ** grid.gamma
+    decay = np.exp(-rates * dt)
+    return rates, decay, (1.0 - decay) / rates
+
+
 # ---------------------------------------------------------------- Duhamel
 
 
@@ -34,10 +38,10 @@ def test_duhamel_constant_forcing_is_exact():
     grid = Grid(n_modes=4, gamma=1.6)
     times = _uniform_times(0.01, 1.0)
     g = np.full((len(times), 4), 0.3 + 0.2j)
-    out = duhamel_integrate(Trajectory(times, g, grid),
-                            from_minus_infinity=True)
+    rates, decay, weight = _scan_constants(grid, 0.01)
+    out = duhamel_scan(g, decay, weight, init=g[0] / rates)
     want = (0.3 + 0.2j) / grid.wavenumbers ** 1.6
-    assert np.abs(out.modes - want).max() == 0.0
+    assert np.abs(out - want).max() == 0.0
 
 
 def test_duhamel_from_zero_starts_at_zero():
@@ -45,8 +49,9 @@ def test_duhamel_from_zero_starts_at_zero():
     times = _uniform_times(0.01, 0.5)
     rng = np.random.default_rng(0)
     g = rng.standard_normal((len(times), 4)) + 0j
-    out = duhamel_integrate(Trajectory(times, g, grid))
-    assert np.all(out.modes[0] == 0.0)
+    _, decay, weight = _scan_constants(grid, 0.01)
+    out = duhamel_scan(g, decay, weight)
+    assert np.all(out[0] == 0.0)
 
 
 def test_duhamel_sinusoid_reaches_steady_state():
@@ -56,10 +61,10 @@ def test_duhamel_sinusoid_reaches_steady_state():
     w, dt, t_end = 3.0, 5e-4, 6.0
     times = _uniform_times(dt, t_end)
     g = np.exp(1j * w * times)[:, None] * np.ones((1, 4))
-    out = duhamel_integrate(Trajectory(times, g, grid),
-                            from_minus_infinity=True)
+    rates, decay, weight = _scan_constants(grid, dt)
+    out = duhamel_scan(g, decay, weight, init=g[0] / rates)
     steady = np.exp(1j * w * t_end) / (grid.wavenumbers ** 1.6 + 1j * w)
-    rel = np.abs(out.modes[-1] - steady) / np.abs(steady)
+    rel = np.abs(out[-1] - steady) / np.abs(steady)
     assert rel[1:].max() < 1e-6
 
 
@@ -68,28 +73,33 @@ def test_duhamel_matches_closed_form_cosine():
     w, dt = 2.0, 1e-3
     times = _uniform_times(dt, 2.0)
     g = np.cos(w * times)[:, None] * np.array([[1.0, 0.0]])
-    out = duhamel_integrate(Trajectory(times, g, grid))
+    _, decay, weight = _scan_constants(grid, dt)
+    out = duhamel_scan(g, decay, weight)
     a = 1.0  # mode 1, gamma = 2
     want = ((np.exp(1j * w * times) - np.exp(-a * times))
             / (a + 1j * w)).real
-    assert np.abs(out.modes[:, 0].real - want).max() < 1e-6
+    assert np.abs(out[:, 0].real - want).max() < 1e-6
 
 
 def test_duhamel_gamma_override():
+    # the scan reads its exponent from the caller's per-mode constants,
+    # not from the grid
     grid = Grid(n_modes=3, gamma=1.6)
     times = _uniform_times(0.01, 0.5)
     g = np.ones((len(times), 3), dtype=complex)
-    out = duhamel_integrate(Trajectory(times, g, grid), gamma=2.0,
-                            from_minus_infinity=True)
-    assert np.allclose(out.modes[-1], 1.0 / grid.wavenumbers ** 2)
+    rates, decay, weight = _scan_constants(Grid(n_modes=3, gamma=2.0), 0.01)
+    out = duhamel_scan(g, decay, weight, init=g[0] / rates)
+    assert np.allclose(out[-1], 1.0 / grid.wavenumbers ** 2)
 
 
 def test_duhamel_rejects_nonuniform_times():
+    # the tree builder reads one step from the flow's time grid
     grid = Grid(n_modes=2, gamma=1.6)
     times = np.array([0.0, 0.1, 0.15, 0.4])
-    g = np.zeros((4, 2), dtype=complex)
-    with pytest.raises(NonuniformGrid):
-        duhamel_integrate(Trajectory(times, g, grid))
+    base = Trajectory(times, np.zeros((4, 2), dtype=complex), grid)
+    for recentered in (False, True):
+        with pytest.raises(NonuniformGrid):
+            build_tree_family(base, recentered=recentered)
 
 
 # ------------------------------------------------------------ tree builds
@@ -106,7 +116,7 @@ def _two_mode_base(grid, amps, dt=0.01, t_end=0.3):
 def test_quadratic_tree_frequency_selection():
     grid = Grid(n_modes=12, gamma=1.6)
     base = _two_mode_base(grid, {2: 0.7 + 0.1j, 5: 0.3 - 0.2j})
-    quad = build_quadratic_tree(base)
+    quad = build_tree_family(base)["lr"]
     support = {3, 4, 7, 10}  # |2-5|, 2+2, 2+5, 5+5
     scale = np.abs(quad.modes).max()
     for k in range(1, 13):
@@ -120,8 +130,7 @@ def test_quadratic_tree_frequency_selection():
 def test_cubic_tree_frequency_selection():
     grid = Grid(n_modes=16, gamma=1.6)
     base = _two_mode_base(grid, {2: 0.7 + 0.1j, 5: 0.3 - 0.2j})
-    quad = build_quadratic_tree(base)
-    cubic = build_cubic_tree(base, quad)
+    cubic = build_tree_family(base)["rLlr"]
     quad_support = {3, 4, 7, 10}
     support = set()
     for q in quad_support:
@@ -138,30 +147,18 @@ def test_cubic_tree_frequency_selection():
             assert col < 1e-13 * scale
 
 
-def test_tree_family_symbols_and_provenance():
+def test_tree_family_returns_plain_trajectories():
     grid = Grid(n_modes=6, gamma=1.8)
     cfg = NoiseConfig(gamma=1.8, epsilon=0.0, seed=3, dt=0.01, t_end=0.2)
     base = sample_Y(cfg, grid)
-    family = build_tree_family(base)
-    assert set(family) == {"n", "lr", "rLlr"}
-    assert family["lr"].provenance["kind"] == "quadratic"
-    assert family["rLlr"].provenance["kind"] == "cubic"
-    assert family["rLlr"].provenance["quadratic"] is family["lr"].trajectory
-    assert not family["lr"].provenance["recentered"]
-
-
-def test_cubic_tree_rejects_wrong_inputs():
-    grid = Grid(n_modes=6, gamma=1.8)
-    cfg = NoiseConfig(gamma=1.8, epsilon=0.0, seed=3, dt=0.01, t_end=0.2)
-    base = sample_Y(cfg, grid)
-    not_quad = TreeTrajectory(symbol="n", trajectory=base, provenance={})
-    with pytest.raises(UnknownSymbol):
-        build_cubic_tree(base, not_quad)
-    other = Grid(n_modes=8, gamma=1.8)
-    quad = build_quadratic_tree(base)
-    base2 = sample_Y(cfg, other)
-    with pytest.raises(GridMismatch):
-        build_cubic_tree(base2, quad)
+    for recentered in (False, True):
+        family = build_tree_family(base, recentered=recentered)
+        assert set(family) == {"n", "lr", "rLlr"}
+        assert family["n"] is base
+        for tree in family.values():
+            assert type(tree) is Trajectory
+            assert tree.grid == grid
+            assert np.array_equal(tree.times, base.times)
 
 
 def test_tree_homogeneity_in_amplitude():
@@ -183,16 +180,17 @@ def test_tree_homogeneity_in_amplitude():
 def test_recenter_quadratic_starts_at_exact_zero():
     grid = Grid(n_modes=8, gamma=1.6)
     cfg = NoiseConfig(gamma=1.6, epsilon=0.0, seed=4, dt=0.01, t_end=0.5)
-    quad = build_quadratic_tree(sample_Y(cfg, grid))
-    cen = recenter(quad)
+    base = sample_Y(cfg, grid)
+    cen = build_tree_family(base, recentered=True)["lr"]
     assert np.all(cen.modes[0] == 0.0)
-    assert cen.provenance["recentered"]
+    assert np.array_equal(cen.modes,
+                          recenter(build_tree_family(base)["lr"]).modes)
 
 
 def test_recenter_gap_decays_like_slowest_mode():
     grid = Grid(n_modes=8, gamma=1.6)
     cfg = NoiseConfig(gamma=1.6, epsilon=0.0, seed=4, dt=0.01, t_end=2.0)
-    quad = build_quadratic_tree(sample_Y(cfg, grid))
+    quad = build_tree_family(sample_Y(cfg, grid))["lr"]
     cen = recenter(quad)
     gap = np.abs(quad.modes - cen.modes)
     envelope = (np.exp(-quad.times)[:, None]
@@ -207,10 +205,7 @@ def test_recenter_gap_decays_like_slowest_mode():
 def test_recenter_cubic_starts_at_exact_zero():
     grid = Grid(n_modes=8, gamma=1.6)
     cfg = NoiseConfig(gamma=1.6, epsilon=0.0, seed=4, dt=0.01, t_end=0.5)
-    base = sample_Y(cfg, grid)
-    quad = build_quadratic_tree(base)
-    cubic = build_cubic_tree(base, quad)
-    cen = recenter(cubic)
+    cen = build_tree_family(sample_Y(cfg, grid), recentered=True)["rLlr"]
     assert np.all(cen.modes[0] == 0.0)
 
 
@@ -219,19 +214,41 @@ def test_recenter_commutes_with_scaling():
     cfg = NoiseConfig(gamma=1.6, epsilon=0.0, seed=8, dt=0.01, t_end=0.4)
     base = sample_Y(cfg, grid)
     doubled = Trajectory(base.times, 2.0 * base.modes, grid)
-    cub1 = build_cubic_tree(base, build_quadratic_tree(base))
-    cub2 = build_cubic_tree(doubled, build_quadratic_tree(doubled))
-    assert np.allclose(recenter(cub2).modes, 8.0 * recenter(cub1).modes,
-                       rtol=1e-13)
+    cub1 = build_tree_family(base, recentered=True)["rLlr"]
+    cub2 = build_tree_family(doubled, recentered=True)["rLlr"]
+    assert np.allclose(cub2.modes, 8.0 * cub1.modes, rtol=1e-13)
 
 
-def test_recenter_unknown_symbol_raises():
-    grid = Grid(n_modes=4, gamma=1.6)
-    cfg = NoiseConfig(gamma=1.6, epsilon=0.0, seed=1, dt=0.01, t_end=0.1)
+def _recentered_tree_by_tree(base, coupling=DEFAULT_COUPLING):
+    """Oracle: the stationary family, then each tree recentred on its
+    own.  The quadratic tree loses its propagated start; the cubic
+    tree's forcing changes with it, so that tree is integrated again
+    from zero against the recentred quadratic tree."""
+    grid = base.grid
+    rates, decay, weight = _scan_constants(grid, base.dt)
+    stationary = build_tree_family(base, coupling)["lr"].modes
+    free = np.exp(-np.outer(base.times - base.times[0], rates))
+    lr = stationary - free * stationary[0]
+    g = bilinear_forcing(lr, base.modes, grid, coupling)
+    return {"n": base.modes, "lr": lr, "rLlr": duhamel_scan(g, decay, weight)}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("n_modes,dt,t_end,epsilon,seed", [
+    (256, 1e-4, 0.1, 0.0625, 21),       # c10
+    (32, 1e-3, 1.0, 0.03125, 0),        # c11, finest rung
+    (64, 1e-3, 0.25, 0.125, 11),        # c12
+], ids=["c10", "c11", "c12"])
+def test_zero_start_family_equals_recentering_tree_by_tree(
+        n_modes, dt, t_end, epsilon, seed):
+    grid = Grid(n_modes=n_modes, gamma=1.75)
+    cfg = NoiseConfig(gamma=1.75, epsilon=epsilon, seed=seed, dt=dt,
+                      t_end=t_end)
     base = sample_Y(cfg, grid)
-    tree = TreeTrajectory(symbol="n", trajectory=base, provenance={})
-    with pytest.raises(UnknownSymbol):
-        recenter(tree)
+    direct = build_tree_family(base, recentered=True)
+    oracle = _recentered_tree_by_tree(base)
+    for key in ("n", "lr", "rLlr"):
+        assert np.array_equal(direct[key].modes, oracle[key])
 
 
 # ------------------------------------------------- sampled covariances

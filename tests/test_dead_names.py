@@ -1,9 +1,11 @@
 """Guard against public names that nothing in the package calls.
 
-Every public top-level function or class, and every public method, in
-``src/gfsb/*.py`` must be referenced somewhere else under ``src/``: by
-name, or as an attribute.  Click commands are reached from the command
-line.  ``ALLOWED`` lists the exceptions, each with its reason.
+Every public top-level function or class in ``src/gfsb/*.py`` must be
+referenced somewhere else under ``src/``, by name or as an attribute.
+A public method is reached only as an attribute, so a local variable
+that shares its name does not count.  Click commands are reached from
+the command line.  ``ALLOWED`` lists the exceptions, each with its
+reason.
 """
 
 import ast
@@ -41,20 +43,21 @@ def _is_command(node) -> bool:
 
 
 def _definitions(trees):
-    """(qualified name, short name, node) of every public definition."""
+    """(qualified name, short name, node, is method) of every public
+    definition."""
     for module, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if node.name.startswith("_") or _is_command(node):
                 continue
-            yield f"{module}.{node.name}", node.name, node
+            yield f"{module}.{node.name}", node.name, node, False
             if isinstance(node, ast.ClassDef):
                 for sub in node.body:
                     if (isinstance(sub, ast.FunctionDef)
                             and not sub.name.startswith("_")):
                         yield (f"{module}.{node.name}.{sub.name}", sub.name,
-                               sub)
+                               sub, True)
 
 
 def _unreferenced(trees):
@@ -62,9 +65,11 @@ def _unreferenced(trees):
             for tree in trees.values() for n in ast.walk(tree)
             if isinstance(n, (ast.Name, ast.Attribute))]
     out = set()
-    for qualified, name, node in _definitions(trees):
+    for qualified, name, node, method in _definitions(trees):
         own = {id(n) for n in ast.walk(node)}
-        if not any(used == name and id(n) not in own for used, n in uses):
+        if not any(used == name and id(n) not in own
+                   and (isinstance(n, ast.Attribute) or not method)
+                   for used, n in uses):
             out.add(qualified)
     return out
 

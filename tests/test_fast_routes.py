@@ -46,7 +46,7 @@ from gfsb.besov import (
 )
 from gfsb.construct import DEFAULT_COUPLING, bilinear_forcing
 from gfsb.harness import _band_window_sups
-from gfsb.noise import NoiseConfig
+from gfsb.noise import NoiseConfig, sample_Y
 from gfsb.solver import (_w_sup, _w_values, build_enhanced_data,
                          solve_paracontrolled)
 from gfsb.spectral import (FourierField, Grid, _next_fast_len,
@@ -457,8 +457,8 @@ def sweep_differences():
         grid = Grid(n_modes, 1.75)
         cfg = NoiseConfig(gamma=1.75, epsilon=0.0625, seed=21, dt=dt,
                           t_end=t_end)
-        data = build_enhanced_data(cfg, grid, RegularityParams(alpha=-0.2,
-                                                               b=0.5))
+        data = build_enhanced_data(sample_Y(cfg, grid),
+                                   RegularityParams(alpha=-0.2, b=0.5))
         u = FourierField(u0[:n_modes], grid)
 
         def spy(modes, grid, s, key=key):
@@ -690,8 +690,8 @@ def test_sweep_forcing_matches_the_pairing_form(n_modes, monkeypatch):
     grid = Grid(n_modes, gamma)
     cfg = NoiseConfig(gamma=gamma, epsilon=0.0625, seed=21, dt=1e-4,
                       t_end=0.003)
-    data = build_enhanced_data(cfg, grid, RegularityParams(alpha=-0.2,
-                                                           b=0.5))
+    data = build_enhanced_data(sample_Y(cfg, grid),
+                               RegularityParams(alpha=-0.2, b=0.5))
     u0 = np.zeros(n_modes, dtype=complex)
     u0[:3] = (0.08 - 0.02j, 0.03 + 0.01j, -0.015j)
     primes, forcings = [], []

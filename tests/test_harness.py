@@ -332,6 +332,47 @@ def test_cli_run_spec_exit_codes(tmp_path):
     assert "[FAIL]" in result.output
 
 
+def test_cli_run_refuses_t_end_off_the_step_grid(tmp_path):
+    """t_end = 0.0201 is 50.25 steps of 4e-4: the noise config refuses
+    it, so the study errors and the run exits with code 2."""
+    text = (EXPERIMENTS / "c10-solver-reconstruction.spec").read_text()
+    text = (text.replace("n_modes = 256", "n_modes = 128")
+            .replace("dt = 1e-4", "dt = 4e-4")
+            .replace("t_end = 0.1", "t_end = 0.0201"))
+    spec = _write_spec(tmp_path, text)
+    result = CliRunner().invoke(main, ["run", str(spec),
+                                       "--out", str(tmp_path / "runs")])
+    assert result.exit_code == 2, result.output
+    assert "is not a multiple of dt" in result.output
+
+
+def test_each_route_draws_the_forced_flow_once(tmp_path, monkeypatch):
+    """c10 feeds one draw of Y to its direct solve and to its trees, and
+    c11 one draw per (seed, rung) to that rung's solve and trees."""
+    import gfsb.noise
+
+    calls = []
+    ou_path = gfsb.noise._ou_path
+
+    def spy(*args):
+        calls.append(args[0])
+        return ou_path(*args)
+
+    monkeypatch.setattr(gfsb.noise, "_ou_path", spy)
+    spec = load_spec(EXPERIMENTS / "c10-solver-reconstruction.spec",
+                     tmp_path / "c10")
+    run(dataclasses.replace(spec, parameters={
+        **spec.parameters, "n_modes": "128", "dt": "4e-4", "t_end": "0.02"}))
+    assert len(calls) == 1
+
+    calls.clear()
+    run(ExperimentSpec(name="eps", kind="eps-convergence",
+                       parameters={"n_modes": "16", "t_end": "0.05",
+                                   "levels": "2,3"},
+                       seeds=(0,), output_dir=tmp_path / "eps"))
+    assert [cfg.epsilon for cfg in calls] == [0.25, 0.125]
+
+
 def test_cli_tree_algebra_json(tmp_path):
     result = CliRunner().invoke(
         main, ["tree-algebra", "--max-leaves", "3",

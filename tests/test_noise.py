@@ -186,7 +186,8 @@ def test_couple_rejects_other_differences():
     cfg_a = dataclasses.replace(CFG, epsilon=0.25)
     cfg_b = dataclasses.replace(CFG, epsilon=0.125, seed=99)
     with pytest.raises(ConfigMismatch):
-        epsilon_convergence_study([cfg_a, cfg_b], [0], FourierField.zero(G8))
+        epsilon_convergence_study([cfg_a, cfg_b], [0],
+                                  FourierField(np.zeros(8, dtype=complex), G8))
 
 
 def test_couple_shared_support_agreement():

@@ -18,7 +18,7 @@ from gfsb.errors import (
     TimeGridMismatch,
     ValidationError,
 )
-from gfsb.noise import NoiseConfig
+from gfsb.noise import NoiseConfig, sample_Y
 from gfsb.solver import (
     EnhancedData,
     _w_values,
@@ -36,7 +36,7 @@ from gfsb.solver import (
 )
 from gfsb.spectral import FourierField, Grid
 from gfsb.trajectory import Trajectory
-from gfsb.construct import TreeTrajectory, bilinear_forcing
+from gfsb.construct import bilinear_forcing
 from gfsb.trees import RegularityParams
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -88,7 +88,7 @@ def test_degenerate_inputs_reduce_to_direct_solve():
     cfg = NoiseConfig(gamma=2.0, epsilon=0.0, seed=0, dt=1e-3, t_end=0.1,
                       noise_scale=0.0)
     u0 = _u0(grid, (0.08 - 0.02j, 0.03 + 0.01j, -0.015j))
-    direct = solve_mollified(cfg, u0)
+    direct = solve_mollified(sample_Y(cfg, grid), u0)
     data = zero_enhanced_data(grid, direct.times, PARAMS)
     sub = solve_subcritical(data, None, u0, tol=1e-12)
     para = solve_paracontrolled(data, None, u0, tol=1e-12)
@@ -103,7 +103,7 @@ def test_direct_solve_mild_residual_second_order():
     for dt in (4e-3, 2e-3, 1e-3):
         cfg = NoiseConfig(gamma=2.0, epsilon=0.0, seed=0, dt=dt, t_end=0.2,
                           noise_scale=0.0)
-        traj = solve_mollified(cfg, u0)
+        traj = solve_mollified(sample_Y(cfg, grid), u0)
         residuals.append(traj.meta["mild_residual"]["value"])
     assert residuals[0] == pytest.approx(9.40e-8, rel=1e-2)
     for r0, r1 in zip(residuals, residuals[1:]):
@@ -114,7 +114,8 @@ def test_deterministic_solve_dissipates_energy():
     grid = Grid(n_modes=16, gamma=2.0)
     cfg = NoiseConfig(gamma=2.0, epsilon=0.0, seed=0, dt=1e-3, t_end=0.2,
                       noise_scale=0.0)
-    traj = solve_mollified(cfg, _u0(grid, (0.08 - 0.02j, 0.03 + 0.01j)))
+    traj = solve_mollified(sample_Y(cfg, grid),
+                           _u0(grid, (0.08 - 0.02j, 0.03 + 0.01j)))
     energies = 2.0 * np.sum(np.abs(traj.modes) ** 2, axis=-1)
     assert energies[-1] < energies[0]
     assert np.all(np.diff(energies) <= 1e-15)
@@ -124,7 +125,8 @@ def test_transport_pairing_stays_at_roundoff():
     grid = Grid(n_modes=16, gamma=2.0)
     cfg = NoiseConfig(gamma=2.0, epsilon=0.0, seed=0, dt=1e-3, t_end=0.1,
                       noise_scale=0.0)
-    traj = solve_mollified(cfg, _u0(grid, (0.08 - 0.02j, 0.03 + 0.01j)))
+    traj = solve_mollified(sample_Y(cfg, grid),
+                           _u0(grid, (0.08 - 0.02j, 0.03 + 0.01j)))
     # the integral of u against c d/dx(u^2) vanishes on the torus, and the
     # dealiased product drops only modes orthogonal to every resolved one
     g = bilinear_forcing(traj.modes, traj.modes, grid)
@@ -139,9 +141,18 @@ def test_unconverged_implicit_step_raises():
     cfg = NoiseConfig(gamma=2.0, epsilon=0.0, seed=0, dt=1e-3, t_end=0.01,
                       noise_scale=0.0)
     u0 = _u0(grid, (0.08 - 0.02j, 0.03 + 0.01j))
+    y = sample_Y(cfg, grid)
     with pytest.raises(NoContraction, match="t = 0.001"):
-        solve_mollified(cfg, u0, max_step_iter=1)
-    assert solve_mollified(cfg, u0).meta["max_step_iterations"] > 1
+        solve_mollified(y, u0, max_step_iter=1)
+    assert solve_mollified(y, u0).meta["max_step_iterations"] > 1
+
+
+def test_direct_solve_refuses_a_flow_on_another_grid():
+    cfg = NoiseConfig(gamma=2.0, epsilon=0.0, seed=0, dt=1e-3, t_end=0.01,
+                      noise_scale=0.0)
+    y = sample_Y(cfg, Grid(n_modes=8, gamma=2.0))
+    with pytest.raises(GridMismatch):
+        solve_mollified(y, _u0(Grid(n_modes=16, gamma=2.0), (0.08,)))
 
 
 # ----------------------------------------------------- slabs and ansatz
@@ -152,8 +163,9 @@ def slab_regime():
     grid = Grid(n_modes=32, gamma=1.75)
     cfg = NoiseConfig(gamma=1.75, epsilon=0.125, seed=4, dt=1e-3, t_end=0.35)
     u0 = _u0(grid, (0.05 - 0.01j, 0.02j))
-    data = build_enhanced_data(cfg, grid, PARAMS)
-    direct = solve_mollified(cfg, u0)
+    y = sample_Y(cfg, grid)
+    data = build_enhanced_data(y, PARAMS)
+    direct = solve_mollified(y, u0)
     return grid, cfg, u0, data, direct
 
 
@@ -206,17 +218,6 @@ def test_slab_shrink_resamples_the_fixed_factors(slab_regime, monkeypatch):
                   - direct.modes[:len(held.u_q)]) < 1e-9
 
 
-def test_closure_routes_agree_without_collapsing(slab_regime):
-    grid, cfg, u0, data, _ = slab_regime
-    exact = solve_paracontrolled(data, None, u0, tol=1e-12)
-    fd = solve_paracontrolled(data, None, u0,
-                              closure_route="finite-difference", tol=1e-12)
-    assert exact.diagnostics["closure_route"] == "exact"
-    assert fd.diagnostics["closure_route"] == "finite-difference"
-    gap = _ct_l2(exact.reconstruct(data).modes - fd.reconstruct(data).modes)
-    assert 1e-12 < gap < 1e-3
-
-
 def test_contract_stops_below_tol_or_raises():
     """The shared Picard loop keeps the iterate whose distance first
     falls below tol, and gives up on growth past 1e6 times the first
@@ -234,13 +235,6 @@ def test_contract_stops_below_tol_or_raises():
         with pytest.raises(diverged) as fail:
             contract(step, 1.0, 1e-9, 20)
         assert len(fail.value.distances) == want
-
-
-def test_unknown_closure_route_is_refused(slab_regime):
-    grid, cfg, u0, data, _ = slab_regime
-    for route in ("none", "Exact", ""):
-        with pytest.raises(ValidationError, match="closure route"):
-            solve_paracontrolled(data, None, u0, closure_route=route)
 
 
 # ----------------------------------------------------------- growth tools
@@ -313,7 +307,7 @@ def test_probe_initial_data_perturbation(slab_regime):
 def test_probe_input_family_perturbation(slab_regime):
     grid, cfg, u0, data, _ = slab_regime
     other = build_enhanced_data(
-        dataclasses.replace(cfg, seed=5), grid, PARAMS)
+        sample_Y(dataclasses.replace(cfg, seed=5), grid), PARAMS)
     probe = continuous_dependence_probe(data, other, u0, u0, 0.2)
     assert probe["data_difference"] > 0.0
     assert probe["ratio"] == pytest.approx(0.1285, rel=1e-2)
@@ -339,7 +333,7 @@ def test_identical_widths_collapse_to_zero():
     grid = Grid(n_modes=16, gamma=1.75)
     u0 = _u0(grid, (0.05 - 0.01j,))
     cfg = NoiseConfig(gamma=1.75, epsilon=0.25, seed=0, dt=2e-3, t_end=0.1)
-    report = epsilon_convergence_study([cfg, cfg], [0, 1], u0, 0.1)
+    report = epsilon_convergence_study([cfg, cfg], [0, 1], u0)
     assert report["solution"]["medians"] == [0.0]
     for key in ("n", "lr", "rLlr"):
         assert report["trees"][key]["medians"] == [0.0]
@@ -350,10 +344,10 @@ def test_ladder_validation():
     u0 = _u0(grid, (0.05,))
     cfg = NoiseConfig(gamma=1.75, epsilon=0.25, seed=0, dt=2e-3, t_end=0.1)
     with pytest.raises(ValidationError):
-        epsilon_convergence_study([cfg], [0], u0, 0.1)
+        epsilon_convergence_study([cfg], [0], u0)
     other = NoiseConfig(gamma=1.8, epsilon=0.125, seed=0, dt=2e-3, t_end=0.1)
     with pytest.raises(ConfigMismatch):
-        epsilon_convergence_study([cfg, other], [0], u0, 0.1)
+        epsilon_convergence_study([cfg, other], [0], u0)
 
 
 # ------------------------------------------------------ input validation
@@ -364,22 +358,15 @@ def test_enhanced_data_requires_generator_and_closure():
     times = 0.01 * np.arange(5)
     zeros = np.zeros((5, 8), dtype=np.complex128)
 
-    def tree(key):
-        return TreeTrajectory(symbol=key,
-                              trajectory=Trajectory(times, zeros, grid),
-                              provenance={})
+    tree = Trajectory(times, zeros, grid)
 
     with pytest.raises(ValidationError):
-        EnhancedData.build({"lr": tree("lr")}, PARAMS)
+        EnhancedData.build({"lr": tree}, PARAMS)
     with pytest.raises(ValidationError, match="lr"):
-        EnhancedData.build({"n": tree("n")}, PARAMS)
-    other = TreeTrajectory(
-        symbol="lr",
-        trajectory=Trajectory(times + 0.5, zeros, grid),
-        provenance={})
+        EnhancedData.build({"n": tree}, PARAMS)
+    other = Trajectory(times + 0.5, zeros, grid)
     with pytest.raises(TimeGridMismatch):
-        EnhancedData.build({"n": tree("n"), "lr": other,
-                            "rLlr": tree("rLlr")}, PARAMS)
+        EnhancedData.build({"n": tree, "lr": other, "rLlr": tree}, PARAMS)
 
 
 def test_solver_exponent_preconditions(slab_regime):
@@ -406,7 +393,8 @@ def test_mollified_ceiling_trips(slab_regime):
     grid, cfg, u0, _, _ = slab_regime
     with pytest.raises(BlowupDetected,
                        match="^oversampled sup .* exceeds ceiling .* at t = "):
-        solve_mollified(cfg, u0, t_end=0.01, ceiling=1e-3)
+        solve_mollified(sample_Y(dataclasses.replace(cfg, t_end=0.01), grid),
+                        u0, ceiling=1e-3)
 
 
 def test_mollified_ceiling_between_sup_and_l1_bound(monkeypatch):
@@ -418,6 +406,7 @@ def test_mollified_ceiling_between_sup_and_l1_bound(monkeypatch):
     cfg = NoiseConfig(gamma=1.75, epsilon=0.0, seed=0, dt=1e-3, t_end=0.02,
                       noise_scale=0.0)
     u0 = _u0(grid, (0.5, 0.5j))
+    y = sample_Y(cfg, grid)
     reads = []
     full = gfsb.solver.modes_to_physical
 
@@ -426,12 +415,12 @@ def test_mollified_ceiling_between_sup_and_l1_bound(monkeypatch):
         return full(modes, n_points)
 
     monkeypatch.setattr(gfsb.solver, "modes_to_physical", spy)
-    traj = solve_mollified(cfg, u0, ceiling=1.9)
+    traj = solve_mollified(y, u0, ceiling=1.9)
     assert len(reads) == len(traj.times)
     sups = np.max(np.abs(full(traj.modes, 8 * 16)), axis=-1)
     assert 1.76 < sups[0] < 1.7602 and np.all(sups < 1.9)
     reads.clear()
-    solve_mollified(cfg, u0)
+    solve_mollified(y, u0)
     assert reads == []
 
 
@@ -444,8 +433,8 @@ def test_no_contraction_at_the_slab_floor(slab_regime):
 def test_enhanced_difference_basics(slab_regime):
     grid, cfg, u0, data, _ = slab_regime
     assert enhanced_difference(data, data) == 0.0
-    other = build_enhanced_data(dataclasses.replace(cfg, seed=5), grid,
-                                PARAMS)
+    other = build_enhanced_data(
+        sample_Y(dataclasses.replace(cfg, seed=5), grid), PARAMS)
     assert enhanced_difference(data, other) > 0.0
     small = Grid(n_modes=8, gamma=1.75)
     zero = zero_enhanced_data(small, data.times, PARAMS)
@@ -458,4 +447,4 @@ def test_zero_enhanced_data_has_zero_norm():
     data = zero_enhanced_data(grid, 0.01 * np.arange(4), PARAMS)
     assert data.norm == 0.0
     assert set(data.trees) == {"n", "lr", "rLlr"}
-    assert np.all(data.tree("n").modes == 0.0)
+    assert np.all(data.trees["n"].modes == 0.0)
