@@ -307,13 +307,16 @@ def converge_eps(gamma, n_modes, dt, t_end, levels, seeds, out):
 @main.command("run")
 @click.argument("spec_file", type=click.Path(exists=True))
 @click.option("--out", type=click.Path(), default=None,
-              help="Override the spec's output directory.")
+              help="Write under OUT/<spec name> instead of the spec's "
+                   "output directory.")
 @click.option("--plot-data", is_flag=True,
               help="Also emit plot-ready two-column CSVs.")
 def run_spec(spec_file, out, plot_data):
     """Execute a study spec file; nonzero exit if any assertion fails."""
     try:
-        spec = load_spec(spec_file, output_dir=out)
+        spec = load_spec(spec_file)
+        if out is not None:
+            spec = load_spec(spec_file, output_dir=Path(out) / spec.name)
     except ValidationError as exc:
         raise click.UsageError(str(exc))
     click.echo(f"{spec.name} [{spec.kind}] seeds={len(spec.seeds)}")

@@ -7,11 +7,12 @@ tree integrates the product of that result with Y again:
     quadratic = Flow * [c d/dx (Y^2)],   cubic = Flow * [c d/dx (quad Y)],
 
 where Flow* is the Duhamel convolution with e^{t L}, L = -|D|^gamma, and
-c is the nonlinearity strength.  Built "from minus infinity" these are
-stationary objects.  The fixed-point solvers consume the zero-initial-
-data versions instead (exactly zero at the first node): `recenter`
-subtracts the propagated start from the quadratic tree, and the cubic
-tree is then integrated from zero against it.  All recursions use the
+c = ``kernels.COUPLING`` is the nonlinearity strength.  Built "from
+minus infinity" these are stationary objects.  The fixed-point solvers
+consume the zero-initial-data versions instead (exactly zero at the
+first node): `recenter` subtracts the propagated start from the
+quadratic tree, and the cubic tree is then integrated from zero against
+it.  All recursions use the
 exact per-mode integrating factor, so there is no stiffness constraint
 from large |k|^gamma dt.
 """
@@ -20,8 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import DEFAULT_COUPLING
-from .spectral import Grid, derivative_symbol, product_modes
+from .kernels import COUPLING
+from .spectral import (Grid, derivative_symbol, flow_constants, free_flow,
+                       product_modes)
 from .trajectory import Trajectory
 
 
@@ -48,10 +50,9 @@ def duhamel_scan(forcing: np.ndarray, decay: np.ndarray,
     return out
 
 
-def bilinear_forcing(a: np.ndarray, b: np.ndarray, grid: Grid,
-                     coupling: float = DEFAULT_COUPLING) -> np.ndarray:
+def bilinear_forcing(a: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
     """c d/dx (a b) in mode space, batched over leading axes."""
-    return (coupling * derivative_symbol(grid)
+    return (COUPLING * derivative_symbol(grid)
             * product_modes(a, b, grid.n_modes))
 
 
@@ -64,15 +65,11 @@ def recenter(traj: Trajectory) -> Trajectory:
     A stationary tree and its zero-initial-data version obey the same
     forced equation, so their difference is this free flow.
     """
-    grid = traj.grid
-    rates = grid.wavenumbers ** grid.gamma
-    elapsed = traj.times - traj.times[0]
-    decay = np.exp(-np.outer(elapsed, rates))
-    return Trajectory(traj.times, traj.modes - decay * traj.modes[0], grid)
+    start = free_flow(traj.modes[0], traj.grid, traj.times - traj.times[0])
+    return Trajectory(traj.times, traj.modes - start, traj.grid)
 
 
-def build_tree_family(base: Trajectory, coupling: float = DEFAULT_COUPLING,
-                      *, recentered: bool = False) -> dict:
+def build_tree_family(base: Trajectory, *, recentered: bool = False) -> dict:
     """The canonical hierarchy of the forced flow ``base``, keyed by tree
     symbol: ``base`` itself, the quadratic and the cubic tree.
 
@@ -83,16 +80,14 @@ def build_tree_family(base: Trajectory, coupling: float = DEFAULT_COUPLING,
     changes with the quadratic tree, so subtraction cannot recentre it).
     """
     grid = base.grid
-    rates = grid.wavenumbers ** grid.gamma
-    decay = np.exp(-rates * base.dt)
-    weight = (1.0 - decay) / rates
+    rates, decay, weight = flow_constants(grid, base.dt)
 
-    g = bilinear_forcing(base.modes, base.modes, grid, coupling)
+    g = bilinear_forcing(base.modes, base.modes, grid)
     quad = Trajectory(base.times,
                       duhamel_scan(g, decay, weight, init=g[0] / rates), grid)
     if recentered:
         quad = recenter(quad)
-    g = bilinear_forcing(quad.modes, base.modes, grid, coupling)
+    g = bilinear_forcing(quad.modes, base.modes, grid)
     cubic = Trajectory(base.times, duhamel_scan(
         g, decay, weight, init=None if recentered else g[0] / rates), grid)
     return {"n": base, "lr": quad, "rLlr": cubic}

@@ -82,7 +82,7 @@ class ValidationError(GFSBError):
 class TaskFailure(GFSBError):
     """An experiment task failed; partial manifest attached."""
 
-    def __init__(self, message, manifest=None):
+    def __init__(self, message, manifest):
         super().__init__(message)
         self.manifest = manifest
 

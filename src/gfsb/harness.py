@@ -65,7 +65,7 @@ from .solver import (
     solve_subcritical,
     zero_enhanced_data,
 )
-from .spectral import FourierField, Grid, pointwise_product
+from .spectral import FourierField, Grid, flow_constants, pointwise_product
 from .trajectory import Trajectory
 from .trees import RegularityParams, parse_symbol, regular_set, verify_regularity_floor
 
@@ -761,9 +761,7 @@ def _covariance_tree(params):
         grid = Grid(n_modes=n, gamma=gamma)
         cfg = NoiseConfig(gamma=gamma, epsilon=0.0, seed=params["seed"],
                           dt=dt, t_end=burn)
-        rates = grid.wavenumbers ** gamma
-        decay = np.exp(-rates * dt)
-        weight = (1.0 - decay) / rates
+        rates, decay, weight = flow_constants(grid, dt)
         ends = np.empty((R, n), dtype=np.complex128)
         done = 0
         while done < R:
@@ -1043,8 +1041,8 @@ def _run_dependence_probe(params, seeds):
                       t_end=params["t_end"])
     data = build_enhanced_data(sample_Y(cfg, grid), reg)
     u0 = _u0_field(params["u0_modes"], grid)
-    report = dependence_ladder(data, u0, params["t_end"],
-                               sizes=params["sizes"], tol=params["tol"])
+    report = dependence_ladder(data, u0, sizes=params["sizes"],
+                               tol=params["tol"])
     slope_dev = abs(report["slope"] - params["slope_center"])
     final_dev = abs(report["slope_final"] - params["slope_center"])
     worst_margin = max(report["envelope"]["margins"])

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DomainError, ZeroModeK
 from .noise import NoiseConfig
 
-DEFAULT_COUPLING = 0.5  # nonlinearity strength used throughout
+COUPLING = 0.5  # the nonlinearity strength c of c d/dx(u^2)
 
 
 # ---------------------------------------------------------------- OU kernel
@@ -143,8 +143,7 @@ def exp_cross_integral(a: float, b: float, delta: float) -> float:
 
 
 def pair_kernel(k: int, j: int, kp: int, jp: int, t: float, s: float,
-                gamma: float, config: NoiseConfig,
-                coupling: float = DEFAULT_COUPLING) -> float:
+                gamma: float, config: NoiseConfig) -> float:
     """Covariance of two quadratic-tree frequency contributions.
 
     The (j, k-j) channel of mode k at time t against the (jp, kp-jp)
@@ -162,14 +161,13 @@ def pair_kernel(k: int, j: int, kp: int, jp: int, t: float, s: float,
         return 0.0
     a = abs(k) ** gamma
     b = abs(j) ** gamma + abs(k - j) ** gamma
-    weight = (coupling ** 2 * k * k
+    weight = (COUPLING ** 2 * k * k
               * ou_variance(j, config) * ou_variance(k - j, config))
     return matches * weight * exp_cross_integral(a, b, abs(t - s))
 
 
 def quadratic_tree_covariance(k: int, t: float, s: float,
-                              config: NoiseConfig, n_modes: int,
-                              coupling: float = DEFAULT_COUPLING) -> float:
+                              config: NoiseConfig, n_modes: int) -> float:
     """E[Yq_k(t) Yq_{-k}(s)] for the quadratic tree on a grid keeping
     |j|, |k-j| <= n_modes: 2 c^2 k^2 sum_j s_j^2 s_{k-j}^2 I1."""
     if k == 0:
@@ -182,7 +180,7 @@ def quadratic_tree_covariance(k: int, t: float, s: float,
         b = abs(j) ** config.gamma + abs(k - j) ** config.gamma
         total += (ou_variance(j, config) * ou_variance(k - j, config)
                   * exp_cross_integral(a, b, abs(t - s)))
-    return 2.0 * coupling ** 2 * k * k * total
+    return 2.0 * COUPLING ** 2 * k * k * total
 
 
 # ---------------------------------------------------------------- bounds
@@ -321,17 +319,15 @@ def five_exp_increment_bound(a, b, c, d, e, delta) -> BoundCheck:
 MODE_PACKAGING_CAP = 2.5
 
 
-def mode_packaging_bound(k: int, m: int, gamma: float, delta: float,
-                         eps: float = 0.0) -> BoundCheck:
+def mode_packaging_bound(k: int, m: int, gamma: float,
+                         delta: float) -> BoundCheck:
     """Signed two-exponential package
 
         (k+m) e^{-(|k-m|^g + |k|^g) D} + (k-m) e^{-(|k+m|^g + |k|^g) D}
 
-    against C e^{-c (|k+m| + |m|)^g D} |m|^{(2-g/2) eps}
-    (|k| + |k+m|)^{(2-g/2)(1-eps)} with c = 6^{-g}.  At eps = 0 the
-    ratio is bounded uniformly in (k, m, D); positive eps trades
-    k-growth for m-growth and loses uniformity in k, so 0 is the
-    default.  Checked with cap 2.5.
+    against C e^{-c (|k+m| + |m|)^g D} (|k| + |k+m|)^{2-g/2} with
+    c = 6^{-g}; the ratio is bounded uniformly in (k, m, D).  Checked
+    with cap 2.5.
     """
     if m == 0 or k == m or k == 0:
         raise DomainError("needs k, m nonzero and k != m")
@@ -348,9 +344,7 @@ def mode_packaging_bound(k: int, m: int, gamma: float, delta: float,
     # and keeps the ratio finite where both sides underflow
     scaled_witness = abs((k + m) * math.exp(-(a_minus - rate) * delta)
                          + (k - m) * math.exp(-(a_plus - rate) * delta))
-    power = 2.0 - g / 2.0
-    scaled_bound = (abs(m) ** (power * eps)
-                    * (abs(k) + abs(k + m)) ** (power * (1 - eps)))
+    scaled_bound = (abs(k) + abs(k + m)) ** (2.0 - g / 2.0)
     return BoundCheck(witness=scaled_witness, bound=scaled_bound,
                       cap=MODE_PACKAGING_CAP)
 

@@ -32,7 +32,8 @@ from .errors import (
     UnresolvedMollifier,
     ValidationError,
 )
-from .spectral import Grid, Mollifier, read_snapshot, write_snapshot
+from .spectral import (Grid, Mollifier, flow_constants, read_snapshot,
+                       write_snapshot)
 from .trajectory import Trajectory
 
 @dataclass(frozen=True)
@@ -75,8 +76,10 @@ class NoiseConfig:
 
 
 def check_grid(config: NoiseConfig, grid: Grid) -> None:
-    """Shared preconditions coupling a noise config to a grid."""
-    if abs(grid.gamma - config.gamma) > 1e-12:
+    """Shared preconditions coupling a noise config to a grid.  Their
+    gammas must be equal: the sampled flow decays at the grid's rates
+    and has the config's variance."""
+    if grid.gamma != config.gamma:
         raise GridMismatch(
             f"grid gamma {grid.gamma} != config gamma {config.gamma}")
     if config.epsilon > 0 and not config.mollifier().resolved_by(grid):
@@ -116,7 +119,7 @@ def _ou_path(config: NoiseConfig, grid: Grid, z: np.ndarray) -> np.ndarray:
     start, slots 1..T the per-step innovations.
     """
     sigma = stationary_sigma(config, grid)
-    decay = np.exp(-grid.wavenumbers ** config.gamma * config.dt)
+    _, decay, _ = flow_constants(grid, config.dt)
     innov_sd = sigma * np.sqrt(np.clip(1.0 - decay ** 2, 0.0, None))
     zc = (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
     out = np.empty(zc.shape, dtype=np.complex128)

@@ -8,15 +8,17 @@ negative modes are implied by conjugate symmetry.  With the convention
 
 every stored field is exactly real-valued and mean-zero by construction.
 
-All linear operators are diagonal Fourier multipliers.  Products are
-computed on a physical grid sized to the factors' bands: factors with
-ka and kb stored modes produce modes up to ka + kb, and the grid holds
-just enough points that every retained mode comes out free of aliasing
-(the 3/2 rule for two full-band factors).  The mean and above-cutoff
-content of a product are discarded; on request they are reported, read
-on a grid that resolves the whole product.  A square samples its factor
-once.  The grid rule and the transform back to modes are helpers that
-the paraproducts also call on factors they sampled ahead of time.
+All linear operators are diagonal Fourier multipliers.  The linear
+flow e^{tL}, L = -|D|^gamma, is derived here once: ``flow_constants``
+gives its per-mode rates and one-step decay and Duhamel weight, and
+``free_flow`` propagates a start.  Products are computed on a physical
+grid sized to the factors' bands: factors with ka and kb stored modes
+produce modes up to ka + kb, and the grid holds just enough points that
+every retained mode comes out free of aliasing (the 3/2 rule for two
+full-band factors).  The mean and above-cutoff content of a product are
+discarded.  A square samples its factor once.  The grid rule and the
+transform back to modes are helpers that the paraproducts also call on
+factors they sampled ahead of time.
 
 Every transform is numpy's, so importing the package loads numpy and
 nothing heavier.  Grid lengths come from ``_next_fast_len``: the
@@ -30,7 +32,6 @@ does, while a complex FFT of the same kernel differs at roundoff.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -39,24 +40,19 @@ import numpy as np
 
 from .errors import FormatError, GridMismatch
 
-TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class Grid:
-    """Mode count, dissipation exponent, and torus length."""
+    """Mode count and dissipation exponent on the 2 pi torus."""
 
     n_modes: int
     gamma: float
-    domain_length: float = TWO_PI
 
     def __post_init__(self):
         if self.n_modes < 2:
             raise ValueError(f"need at least 2 modes, got {self.n_modes}")
         if not (1.0 < self.gamma <= 2.0):
             raise ValueError(f"gamma must lie in (1, 2], got {self.gamma}")
-        if self.domain_length <= 0:
-            raise ValueError("domain_length must be positive")
 
     @property
     def wavenumbers(self) -> np.ndarray:
@@ -94,12 +90,11 @@ class FourierField:
         return cls(m, grid)
 
     @classmethod
-    def random(cls, grid: Grid, rng, scale=1.0, decay=0.0) -> "FourierField":
-        """Gaussian random field; optional |k|^-decay spectral envelope."""
+    def random(cls, grid: Grid, rng) -> "FourierField":
+        """Gaussian random field with unit-variance complex modes."""
         n = grid.n_modes
         z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-        env = scale * grid.wavenumbers ** (-decay) if decay else scale
-        return cls(z * env, grid)
+        return cls(z, grid)
 
     # ------------------------------------------------------------ evaluation
 
@@ -171,37 +166,28 @@ def _next_fast_len(n: int, real: bool = False) -> int:
         m += 1
 
 
-def _product_grid(ka: int, kb: int, n_modes: int,
-                  with_report: bool = False) -> tuple[int, int]:
+def _product_grid(ka: int, kb: int, n_modes: int) -> tuple[int, int]:
     """(grid length m, top) for the product of factors with ka and kb
     modes, kept to modes 1..n_modes: the grid rule of ``product_modes``."""
     top = min(n_modes, ka + kb)
     need = max(ka + kb + top + 1, 2 * max(ka, kb) + 1)
-    if with_report:
-        need = max(need, 2 * (ka + kb) + 1)
     return _next_fast_len(need, real=True), top
 
 
 def _product_of_samples(pa: np.ndarray, pb: np.ndarray, m: int, top: int,
-                        n_modes: int, with_report: bool = False):
+                        n_modes: int) -> np.ndarray:
     """Modes 1..n_modes of the product of two factors sampled on the
     m-point grid that ``_product_grid`` gave for them."""
     spec = np.fft.rfft(pa * pb, axis=-1)
     spec /= m
     if top == n_modes:
-        out = np.ascontiguousarray(spec[..., 1:top + 1])
-    else:
-        out = np.zeros(spec.shape[:-1] + (n_modes,), dtype=np.complex128)
-        out[..., :top] = spec[..., 1:top + 1]
-    if not with_report:
-        return out
-    zero = np.abs(spec[..., 0]) ** 2
-    high = 2.0 * np.sum(np.abs(spec[..., n_modes + 1:]) ** 2, axis=-1)
-    return out, (zero, high)
+        return np.ascontiguousarray(spec[..., 1:top + 1])
+    out = np.zeros(spec.shape[:-1] + (n_modes,), dtype=np.complex128)
+    out[..., :top] = spec[..., 1:top + 1]
+    return out
 
 
-def product_modes(a: np.ndarray, b: np.ndarray, n_modes: int,
-                  with_report: bool = False):
+def product_modes(a: np.ndarray, b: np.ndarray, n_modes: int) -> np.ndarray:
     """Dealiased product of two mode arrays (batched over leading axes).
 
     The factors carry modes 1..ka and 1..kb (their last axes), so the
@@ -210,28 +196,19 @@ def product_modes(a: np.ndarray, b: np.ndarray, n_modes: int,
     physical grid has the next fast length of
     max(ka + kb + top + 1, 2 max(ka, kb) + 1) points: aliases of the
     highest product modes then land above the kept ones, which is the
-    3/2 rule for two full-band factors.  With ``with_report`` the grid
-    has at least 2(ka + kb) + 1 points, so every product mode is exact,
-    and the discarded (mean + above-cutoff) energy
-    |c0|^2 + 2 sum_{k>N} |c_k|^2 is also returned per batch element.
-    A square (``b is a``) samples its factor once.
+    3/2 rule for two full-band factors.  The mean and the modes above N
+    are dropped.  A square (``b is a``) samples its factor once.
     """
-    m, top = _product_grid(a.shape[-1], b.shape[-1], n_modes, with_report)
+    m, top = _product_grid(a.shape[-1], b.shape[-1], n_modes)
     pa = modes_to_physical(a, m)
     pb = pa if b is a else modes_to_physical(b, m)
-    return _product_of_samples(pa, pb, m, top, n_modes, with_report)
+    return _product_of_samples(pa, pb, m, top, n_modes)
 
 
-def pointwise_product(f: FourierField, g: FourierField,
-                      with_report: bool = False):
+def pointwise_product(f: FourierField, g: FourierField) -> FourierField:
     """Exact dealiased product, truncated back to the shared grid."""
     if f.grid != g.grid:
         raise GridMismatch("product of fields on different grids")
-    if with_report:
-        out, (zero, high) = product_modes(f.modes, g.modes, f.grid.n_modes,
-                                          with_report=True)
-        return FourierField(out, f.grid), {"zero_mode_energy": float(zero),
-                                           "high_mode_energy": float(high)}
     return FourierField(product_modes(f.modes, g.modes, f.grid.n_modes), f.grid)
 
 
@@ -240,7 +217,22 @@ def pointwise_product(f: FourierField, g: FourierField,
 
 def derivative_symbol(grid: Grid) -> np.ndarray:
     """Multiplier of d/dx on the stored (positive) modes."""
-    return 1j * grid.wavenumbers * (TWO_PI / grid.domain_length)
+    return 1j * grid.wavenumbers
+
+
+def flow_constants(grid: Grid, dt: float):
+    """(rates, decay, weight) of the linear flow e^{tL}, L = -|D|^gamma,
+    over one step dt: rates |k|^gamma, decay e^{-|k|^gamma dt} and the
+    Duhamel weight (1 - decay)/|k|^gamma."""
+    rates = grid.wavenumbers ** grid.gamma
+    decay = np.exp(-rates * dt)
+    return rates, decay, (1.0 - decay) / rates
+
+
+def free_flow(start: np.ndarray, grid: Grid,
+              elapsed: np.ndarray) -> np.ndarray:
+    """e^{tL} start at each elapsed time t: one row per time."""
+    return np.exp(-np.outer(elapsed, grid.wavenumbers ** grid.gamma)) * start
 
 
 # ---------------------------------------------------------------- mollifier

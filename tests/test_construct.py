@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from gfsb.construct import (
-    DEFAULT_COUPLING,
     bilinear_forcing,
     build_tree_family,
     duhamel_scan,
@@ -219,17 +218,17 @@ def test_recenter_commutes_with_scaling():
     assert np.allclose(cub2.modes, 8.0 * cub1.modes, rtol=1e-13)
 
 
-def _recentered_tree_by_tree(base, coupling=DEFAULT_COUPLING):
+def _recentered_tree_by_tree(base):
     """Oracle: the stationary family, then each tree recentred on its
     own.  The quadratic tree loses its propagated start; the cubic
     tree's forcing changes with it, so that tree is integrated again
     from zero against the recentred quadratic tree."""
     grid = base.grid
     rates, decay, weight = _scan_constants(grid, base.dt)
-    stationary = build_tree_family(base, coupling)["lr"].modes
+    stationary = build_tree_family(base)["lr"].modes
     free = np.exp(-np.outer(base.times - base.times[0], rates))
     lr = stationary - free * stationary[0]
-    g = bilinear_forcing(lr, base.modes, grid, coupling)
+    g = bilinear_forcing(lr, base.modes, grid)
     return {"n": base.modes, "lr": lr, "rLlr": duhamel_scan(g, decay, weight)}
 
 

@@ -41,14 +41,15 @@ from gfsb.besov import (
     _partition_weights,
     _real_fft,
     _sample,
+    intersection_sup,
     modified_paraproduct,
     sobolev_norms,
 )
-from gfsb.construct import DEFAULT_COUPLING, bilinear_forcing
+from gfsb.construct import bilinear_forcing
 from gfsb.harness import _band_window_sups
+from gfsb.kernels import COUPLING
 from gfsb.noise import NoiseConfig, sample_Y
-from gfsb.solver import (_w_sup, _w_values, build_enhanced_data,
-                         solve_paracontrolled)
+from gfsb.solver import _w_values, build_enhanced_data, solve_paracontrolled
 from gfsb.spectral import (FourierField, Grid, _next_fast_len,
                            derivative_symbol, modes_to_physical,
                            product_modes)
@@ -218,12 +219,16 @@ def test_product_report_matches_full_grid(n_modes, batch):
         pad_b = np.zeros(batch + (n_modes,), dtype=complex)
         pad_a[..., :ka] = a
         pad_b[..., :kb] = b
-        out, (zero, high) = product_modes(a, b, n_modes, with_report=True)
+        out = product_modes(a, b, n_modes)
         ref, (ref_zero, ref_high) = full_grid_product(
             pad_a, pad_b, n_modes, with_report=True)
         assert_close(out, ref)
-        assert_close(zero, ref_zero, rtol=1e-12)
-        assert_close(high, ref_high, rtol=1e-12)
+        # what the product drops is the oracle's mean and high modes
+        m = 4 * (n_modes + 1)
+        whole = np.mean((modes_to_physical(pad_a, m)
+                         * modes_to_physical(pad_b, m)) ** 2, axis=-1)
+        dropped = whole - 2.0 * np.sum(np.abs(out) ** 2, axis=-1)
+        assert_close(dropped, ref_zero + ref_high, rtol=1e-12)
 
 
 @pytest.mark.parametrize("n_modes", [7, 128, 256])
@@ -420,7 +425,7 @@ def test_w_sup_matches_full_route(n_modes, rows, s):
     grid = Grid(n_modes, 2.0)
     for modes in (decaying_rows(rng, rows, n_modes),
                   random_modes(rng, (rows, n_modes))):
-        assert _w_sup(modes, grid, s) == full_w_sup(modes, grid, s)
+        assert intersection_sup(modes, grid, s) == full_w_sup(modes, grid, s)
 
 
 @pytest.mark.parametrize("case", sorted(adversarial_inputs()))
@@ -428,7 +433,7 @@ def test_w_sup_matches_full_route(n_modes, rows, s):
 def test_w_sup_matches_full_route_on_adversarial_rows(case, s):
     modes, n_modes = adversarial_inputs()[case]
     grid = Grid(n_modes, 2.0)
-    assert _w_sup(modes, grid, s) == full_w_sup(modes, grid, s)
+    assert intersection_sup(modes, grid, s) == full_w_sup(modes, grid, s)
 
 
 def test_spread_rows_top_bound_and_top_sup_differ():
@@ -441,13 +446,14 @@ def test_spread_rows_top_bound_and_top_sup_differ():
 
 @pytest.fixture(scope="module")
 def sweep_differences():
-    """The arguments of _w_sup in real solves: both Picard solvers at the
-    reconstruction shape (51 nodes, N = 128), and the first sweeps of a
-    paracontrolled solve at the c10 shape (1001 nodes, N = 256)."""
+    """The arguments of intersection_sup in real solves: both Picard
+    solvers at the reconstruction shape (51 nodes, N = 128), and the
+    first sweeps of a paracontrolled solve at the c10 shape (1001 nodes,
+    N = 256)."""
     captured = {"reconstruction": [], "c10": []}
     u0 = np.zeros(256, dtype=complex)
     u0[:3] = (0.08 - 0.02j, 0.03 + 0.01j, -0.015j)
-    orig = gfsb.solver._w_sup
+    orig = gfsb.solver.intersection_sup
 
     class Enough(Exception):
         pass
@@ -467,7 +473,7 @@ def sweep_differences():
                 raise Enough
             return orig(modes, grid, s)
 
-        gfsb.solver._w_sup = spy
+        gfsb.solver.intersection_sup = spy
         try:
             solve_paracontrolled(data, None, u, tol=1e-12)
             if key == "reconstruction":
@@ -475,7 +481,7 @@ def sweep_differences():
         except Enough:
             pass
         finally:
-            gfsb.solver._w_sup = orig
+            gfsb.solver.intersection_sup = orig
     return captured
 
 
@@ -488,7 +494,7 @@ def test_w_sup_matches_full_route_on_sweep_differences(sweep_differences,
     for modes, grid, s in calls:
         assert modes.shape == ((51, 128) if shape == "reconstruction"
                                else (1001, 256))
-        assert _w_sup(modes, grid, s) == full_w_sup(modes, grid, s)
+        assert intersection_sup(modes, grid, s) == full_w_sup(modes, grid, s)
 
 
 def test_w_sup_sides_of_the_adversarial_rows():
@@ -498,7 +504,7 @@ def test_w_sup_sides_of_the_adversarial_rows():
     for modes, sobolev_wins in ((tight_rows(20), False),
                                 (sobolev_rows(20), True)):
         top = float(np.max(sobolev_norms(modes, grid, s)))
-        assert (_w_sup(modes, grid, s) == top) == sobolev_wins
+        assert (intersection_sup(modes, grid, s) == top) == sobolev_wins
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -510,7 +516,7 @@ def test_w_sup_stays_non_finite(bad):
         # row 5 is faint, so its pairs would be skipped were it finite
         modes[5] *= 1e-9
         modes[where] = bad
-        got = _w_sup(modes, grid, 0.25)
+        got = intersection_sup(modes, grid, 0.25)
         ref = full_w_sup(modes, grid, 0.25)
         assert not math.isfinite(got)
         assert got == ref or (math.isnan(got) and math.isnan(ref))
@@ -518,7 +524,7 @@ def test_w_sup_stays_non_finite(bad):
 
 @pytest.fixture
 def pairs_read(monkeypatch):
-    """(row, block) pairs whose sups _w_sup reads, summed over its
+    """(row, block) pairs whose sups intersection_sup reads, summed over its
     calls."""
     counted = []
     full = gfsb.besov._block_sup_norms
@@ -534,7 +540,7 @@ def pairs_read(monkeypatch):
     def read(modes, grid, s):
         ref = full_w_sup(modes, grid, s)
         counted.clear()
-        assert _w_sup(modes, grid, s) == ref
+        assert intersection_sup(modes, grid, s) == ref
         return sum(counted)
     return read
 
@@ -547,7 +553,8 @@ def test_w_sup_reads_few_rows_of_decaying_input(pairs_read):
     rng = np.random.default_rng(2)
     grid = Grid(64, 2.0)
     modes = decaying_rows(rng, 200, 64) * 0.97 ** np.arange(200)[:, None]
-    assert _w_sup(modes, grid, 0.9) > np.max(sobolev_norms(modes, grid, 0.9))
+    assert (intersection_sup(modes, grid, 0.9)
+            > np.max(sobolev_norms(modes, grid, 0.9)))
     assert 0 < pairs_read(modes, grid, 0.9) <= _SUP_ROWS
 
 
@@ -665,15 +672,15 @@ def test_modified_paraproduct_with_sampled_q_is_bit_identical(rows,
 # ------------------------------------------- paracontrolled sweep forcing
 
 
-def pairing_sweep_forcing(prime, xlr, y, grid, coupling):
+def pairing_sweep_forcing(prime, xlr, y, grid):
     """The paracontrolled sweep's forcing in the paper's pairings: the
     tree square, 2c d(X_lr u'), c d(u'^2), 2c d lower(u', y) and
     2c d[resonant(u', y) + lower(y, u')]."""
     n = grid.n_modes
-    d2c = 2.0 * coupling * derivative_symbol(grid)
-    return (bilinear_forcing(xlr, xlr, grid, coupling)
-            + bilinear_forcing(xlr, prime, grid, 2.0 * coupling)
-            + bilinear_forcing(prime, prime, grid, coupling)
+    d2c = 2.0 * COUPLING * derivative_symbol(grid)
+    return (bilinear_forcing(xlr, xlr, grid)
+            + 2.0 * bilinear_forcing(xlr, prime, grid)
+            + bilinear_forcing(prime, prime, grid)
             + d2c * _bilinear(prime, y, n, "lower")
             + d2c * (_bilinear(prime, y, n, "resonant")
                      + _bilinear(y, prime, n, "lower")))
@@ -686,7 +693,7 @@ def test_sweep_forcing_matches_the_pairing_form(n_modes, monkeypatch):
     forcing from one product of u'.  Captured with the u' it was formed
     from, it must equal the pairing form within 1e-12 max|forcing|: the
     dealiased Bony split is exact, but the sums round differently."""
-    gamma, coupling = 1.75, DEFAULT_COUPLING
+    gamma = 1.75
     grid = Grid(n_modes, gamma)
     cfg = NoiseConfig(gamma=gamma, epsilon=0.0625, seed=21, dt=1e-4,
                       t_end=0.003)
@@ -697,10 +704,10 @@ def test_sweep_forcing_matches_the_pairing_form(n_modes, monkeypatch):
     primes, forcings = [], []
     forcing, scan = gfsb.solver.bilinear_forcing, gfsb.solver.duhamel_scan
 
-    def forcing_spy(a, b, grid, coupling):
+    def forcing_spy(a, b, grid):
         if a is not b:
             primes.append(a.copy())
-        return forcing(a, b, grid, coupling)
+        return forcing(a, b, grid)
 
     def scan_spy(g, decay, weight, init=None):
         if init is not None:
@@ -719,7 +726,7 @@ def test_sweep_forcing_matches_the_pairing_form(n_modes, monkeypatch):
     xlr = c["lr"] * data.trees["lr"].modes
     assert np.max(np.abs(y)) > 0 and np.max(np.abs(xlr)) > 0
     for prime, got in zip(primes, forcings):
-        want = pairing_sweep_forcing(prime, xlr, y, grid, coupling)
+        want = pairing_sweep_forcing(prime, xlr, y, grid)
         scale = float(np.max(np.abs(want)))
         assert scale > 0
         assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
@@ -738,15 +745,9 @@ def test_square_samples_its_factor_once(n_modes, batch, monkeypatch):
         return full(modes, n_points)
 
     monkeypatch.setattr(gfsb.spectral, "modes_to_physical", spy)
-    for report in (False, True):
-        calls.clear()
-        ref = product_modes(a, a.copy(), n_modes, with_report=report)
-        assert len(calls) == 2
-        calls.clear()
-        out = product_modes(a, a, n_modes, with_report=report)
-        assert len(calls) == 1
-        if report:
-            (out, out_energy), (ref, ref_energy) = out, ref
-            for x, y in zip(out_energy, ref_energy):
-                assert_same(x, y)
-        assert_same(out, ref)
+    ref = product_modes(a, a.copy(), n_modes)
+    assert len(calls) == 2
+    calls.clear()
+    out = product_modes(a, a, n_modes)
+    assert len(calls) == 1
+    assert_same(out, ref)

@@ -332,6 +332,23 @@ def test_cli_run_spec_exit_codes(tmp_path):
     assert "[FAIL]" in result.output
 
 
+def test_cli_run_writes_each_spec_under_its_name(tmp_path):
+    """``--out DIR`` puts a study under DIR/<spec name>, as the spec's
+    ``output`` key does, so two studies run into one DIR keep apart."""
+    out = tmp_path / "runs"
+    for name in ("audit-one", "audit-two"):
+        spec = tmp_path / f"{name}.spec"
+        spec.write_text(AUDIT_SPEC.format(out=tmp_path / "unused")
+                        .replace("audit-check", name))
+        result = CliRunner().invoke(main, ["run", str(spec), "--out",
+                                           str(out)])
+        assert result.exit_code == 0, result.output
+    for name in ("audit-one", "audit-two"):
+        summary = json.loads((out / name / "summary.json").read_text())
+        assert summary["name"] == name
+    assert not (tmp_path / "unused").exists()
+
+
 def test_cli_run_refuses_t_end_off_the_step_grid(tmp_path):
     """t_end = 0.0201 is 50.25 steps of 4e-4: the noise config refuses
     it, so the study errors and the run exits with code 2."""

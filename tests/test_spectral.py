@@ -172,25 +172,30 @@ def test_product_cosine_identity():
     np.testing.assert_allclose(p.modes, expect, atol=1e-15)
 
 
+def discarded_energy(f, g, p):
+    """Mean square of the physical product f g, on 64 points, which
+    resolve its square, less the energy of the kept product p."""
+    fg = f.to_physical(64) * g.to_physical(64)
+    return float(np.mean(fg ** 2)) - p.l2() ** 2
+
+
 def test_product_sin_squared_reports_mean():
-    # sin^2(x) = 1/2 - cos(2x)/2: mean discarded and reported
+    # sin^2(x) = 1/2 - cos(2x)/2: the mean, of energy 1/4, is discarded
     f = FourierField.pure_mode(GRID, 1, -0.5j)  # sin x
-    p, report = pointwise_product(f, f, with_report=True)
+    p = pointwise_product(f, f)
     expect = np.zeros(8, dtype=complex)
     expect[1] = -0.25
     np.testing.assert_allclose(p.modes, expect, atol=1e-15)
-    assert report["zero_mode_energy"] == pytest.approx(0.25, rel=1e-12)
-    assert report["high_mode_energy"] == pytest.approx(0.0, abs=1e-28)
+    assert discarded_energy(f, f, p) == pytest.approx(0.25, rel=1e-12)
 
 
 def test_product_high_mode_report():
-    # cos(8x)^2 = 1/2 + cos(16x)/2: everything is discarded
+    # cos(8x)^2 = 1/2 + cos(16x)/2: everything is discarded, the mean
+    # (energy 1/4) and the +-16 pair (energy 2 * |1/4|^2)
     f = FourierField.pure_mode(GRID, 8, 0.5)
-    p, report = pointwise_product(f, f, with_report=True)
+    p = pointwise_product(f, f)
     np.testing.assert_allclose(p.modes, 0.0, atol=1e-15)
-    assert report["zero_mode_energy"] == pytest.approx(0.25, rel=1e-12)
-    # retained convention counts +-16 jointly: 2 * |1/4|^2
-    assert report["high_mode_energy"] == pytest.approx(0.125, rel=1e-12)
+    assert discarded_energy(f, f, p) == pytest.approx(0.375, rel=1e-12)
 
 
 def test_product_matches_convolution_oracle():
