@@ -22,6 +22,7 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -1132,25 +1133,40 @@ def _run_appendix_integrals(params, seeds):
         f"family must be identities|summability, got {family!r}")
 
 
+@lru_cache(maxsize=1)
+def _double_exponential_rule():
+    """Nodes and weights on [0, 1] (tanh-sinh) and on [0, inf)
+    (exp-sinh): x = (1 + tanh y)/2 and x = e^y with y = (pi/2) sinh t,
+    stepping t by 1/16 over |t| <= 4, 129 nodes each.  A span of
+    |t| <= 3.2 already misses c02's closed forms by ~5e-9."""
+    t = np.arange(-64, 65) / 16.0
+    y = 0.5 * np.pi * np.sinh(t)
+    dy = 0.5 * np.pi * np.cosh(t) / 16.0
+    unit = 1.0 / (1.0 + np.exp(-2.0 * y))
+    half_line = np.exp(y)
+    return unit, dy / (2.0 * np.cosh(y) ** 2), half_line, dy * half_line
+
+
 def _cross_quadrature(a, b, delta):
-    """Adaptive 2-D quadrature of e^{-au-av-b|delta-u+v|} over the
-    quarter-plane, split along the kink line v = u - delta and at
+    """Double-exponential 2-D quadrature of e^{-au-av-b|delta-u+v|} over
+    the quarter-plane, split along the kink line v = u - delta and at
     u = delta, where that line meets the axis v = 0, so each piece has
-    a smooth integrand and smooth inner limits."""
-    from scipy import integrate
+    a smooth integrand on a fixed box of the rule's nodes: u in
+    [0, delta] for ``near``, v = (u - delta) + s for ``far`` and
+    v = (u - delta) r for ``lower``.  The oracle is the three-dblquad
+    route in tests/test_harness.py."""
+    unit, unit_w, half, half_w = _double_exponential_rule()
 
-    def above(v, u):
-        return math.exp(-a * u - a * v - b * (delta - u + v))
+    def piece(u, v, weight):
+        return float(np.sum(
+            weight * np.exp(-a * u - a * v - b * np.abs(delta - u + v))))
 
-    near, _ = integrate.dblquad(above, 0.0, delta, 0.0, np.inf,
-                                epsabs=1e-12, epsrel=1e-12)
-    far, _ = integrate.dblquad(above, delta, np.inf,
-                               lambda u: u - delta, np.inf,
-                               epsabs=1e-12, epsrel=1e-12)
-    lower, _ = integrate.dblquad(
-        lambda v, u: math.exp(-a * u - a * v - b * (u - delta - v)),
-        delta, np.inf, 0.0, lambda u: u - delta,
-        epsabs=1e-12, epsrel=1e-12)
+    near = piece(delta * unit[:, None], half[None, :],
+                 delta * np.outer(unit_w, half_w))
+    u = delta + half[:, None]
+    rise = u - delta
+    far = piece(u, rise + half[None, :], np.outer(half_w, half_w))
+    lower = piece(u, rise * unit[None, :], rise * np.outer(half_w, unit_w))
     return near + far + lower
 
 
@@ -1212,7 +1228,8 @@ def _appendix_identities(params):
     return {
         "assertions": [
             _assertion("cross-integral-closed-form", worst < tol, worst, tol,
-                       "max |closed form - adaptive quadrature| over triples"),
+                       "max |closed form - double-exponential quadrature| "
+                       "over triples"),
             _assertion("bound-families", total_violations == 0,
                        total_violations, 0,
                        "no bound family violated by its witnesses"),

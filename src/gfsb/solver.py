@@ -207,18 +207,15 @@ def solve_mollified(y: Trajectory, u0: FourierField, *,
 
 @dataclass(frozen=True)
 class EnhancedData:
-    """Tree-indexed input trajectories with their norm bookkeeping.
+    """Tree-indexed input trajectories.
 
     ``trees`` maps canonical symbol keys to trajectories; every stored
     pair whose regularities sum negatively must have its product stored
     too, so the remainder forcing never needs an unprescribed object.
-    ``norm`` is the max over symbols of the per-symbol intersection-norm
-    read at that symbol's regularity.
     """
 
     trees: dict
     params: RegularityParams
-    norm: float
 
     @classmethod
     def build(cls, trees: dict, params: RegularityParams) -> "EnhancedData":
@@ -249,10 +246,7 @@ class EnhancedData:
                         raise ValidationError(
                             f"product closure violated: ({ka!r}, {kb!r}) "
                             f"needs {need!r}")
-        grid = ref.grid
-        norm = max(intersection_sup(_norm_nodes(tree.modes), grid, rs[k])
-                   for k, tree in keyed.items())
-        return cls(dict(keyed), params, norm)
+        return cls(dict(keyed), params)
 
     @property
     def grid(self) -> Grid:
@@ -309,14 +303,15 @@ def _initial_slab_steps(dt: float, total_steps: int) -> int:
     return max(1, min(total_steps, max(_MIN_SLAB_STEPS, steps)))
 
 
-def _next_slab_steps(info: dict, magnitude: float, delta: float,
-                     gamma: float, dt: float, current: int) -> int:
+def _next_slab_steps(info: dict, delta: float, gamma: float, dt: float,
+                     current: int) -> int:
     """Refit the slab length from the first accepted contraction factor.
 
     A contraction factor q on a slab of length L is modelled as
     q = 2 C M L^(delta/gamma); solving the smallness relation
     L = (2 C M)^(-gamma/delta) with C read off the observed q gives the
-    next length, clipped to [eight steps, the slab-time cap].
+    next length, clipped to [eight steps, the slab-time cap].  The
+    product 2 C M is read off whole, so the refit needs no separate M.
     """
     factors = info.get("factors", [])
     if not factors:
@@ -324,7 +319,7 @@ def _next_slab_steps(info: dict, magnitude: float, delta: float,
     q = max(factors)
     expo = delta / gamma
     length = info["stop"] - info["start"]
-    if q <= 0 or length <= 0 or magnitude <= 0 or expo <= 0:
+    if q <= 0 or length <= 0 or expo <= 0:
         return current
     cm2 = q / length ** expo          # = 2 C M on the accepted slab
     target = cm2 ** (-1.0 / expo)
@@ -369,16 +364,15 @@ def _shrink_or_raise(steps: int, distances) -> int:
 
 
 def _march_slabs(times: np.ndarray, attempt, accept, what: str,
-                 ceiling: float, data_norm: float, delta: float,
-                 gamma: float) -> list:
+                 ceiling: float, delta: float, gamma: float) -> list:
     """The slab loop of both Picard solvers; returns the slab records.
 
     ``attempt(i0, steps)`` contracts the slab of ``steps`` steps from
     node i0 and returns its iterate and distances, or raises
     _SlabDiverged, which halves the slab down to the floor.
     ``accept(i0, steps, iterate)`` stores an accepted iterate and returns
-    the magnitude (``what``) that the ceiling reads and that, with the
-    slab's contraction factors, re-fits the next slab length.
+    the magnitude (``what``) that the ceiling reads; the slab's
+    contraction factors re-fit the next slab length.
     """
     dt = float(times[1] - times[0])
     top = len(times) - 1
@@ -401,8 +395,7 @@ def _march_slabs(times: np.ndarray, attempt, accept, what: str,
                 f"{what} {magnitude:.3g} exceeds ceiling {ceiling:.3g} "
                 f"by t = {times[i0 + steps]:.6g}")
         i0 += steps
-        slab_steps = _next_slab_steps(info, max(data_norm, magnitude),
-                                      delta, gamma, dt, slab_steps)
+        slab_steps = _next_slab_steps(info, delta, gamma, dt, slab_steps)
     return slabs
 
 
@@ -518,7 +511,7 @@ def solve_subcritical(data: EnhancedData, coefficients, u0: FourierField, *,
         return intersection_sup(v[sl], grid, s)
 
     slabs = _march_slabs(times, attempt, accept, "remainder norm", ceiling,
-                         data.norm, delta, grid.gamma)
+                         delta, grid.gamma)
     diagnostics = {"s": s, "tol": tol, "slabs": slabs}
     return SubcriticalState(
         Trajectory(times, v, grid, meta={"kind": "subcritical"}),
@@ -657,7 +650,7 @@ def solve_paracontrolled(data: EnhancedData, coefficients, u0: FourierField,
                 + 2.0 * intersection_sup(u_sharp[sl], grid, 2.0 * s))
 
     slabs = _march_slabs(times, attempt, accept, "blow-up functional",
-                         ceiling, data.norm, delta, grid.gamma)
+                         ceiling, delta, grid.gamma)
 
     para_final = smoothed_para(len(times), Trajectory(times, q_modes, grid))
     uq_final = para_final + u_sharp

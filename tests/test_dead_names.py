@@ -11,9 +11,10 @@ the exceptions, each with its reason.
 
 Every defaulted parameter of a ``def`` under ``src/gfsb/``, and every
 dataclass field with a plain default, must be set by some call under
-``src/``: by keyword, by position, or by unpacking.  An option no call
-sets is a constant in disguise.  ``OPTIONS_ALLOWED`` lists the
-exceptions, each with its reason.
+``src/``: by keyword, by position, or by unpacking.  A call inside the
+function's own body (a recursion forwarding the option) does not count.
+An option no call sets is a constant in disguise.  ``OPTIONS_ALLOWED``
+lists the exceptions, each with its reason.
 """
 
 import ast
@@ -67,6 +68,8 @@ OPTIONS_ALLOWED = {
     "spectral.FourierField.to_physical(n_points)":
         "the tests' oracles read fields on grids of their own",
     "spectral.write_snapshot(beta)": "a field of the snapshot format",
+    "trees.regularity(use_cache)":
+        "tests/test_trees.py audits the memo against a recompute",
 }
 
 
@@ -154,21 +157,22 @@ def _is_dataclass(node) -> bool:
 
 
 def _params(qualified, callee, fn, skip):
-    """(option, callee, name, position) of the defaulted parameters of
-    ``fn``; ``skip`` drops a bound self or cls from the positions."""
+    """(option, callee, name, position, body) of the defaulted parameters
+    of ``fn``; ``skip`` drops a bound self or cls from the positions and
+    ``body`` is ``fn``, whose own calls do not set its options."""
     args = fn.args
     positional = args.posonlyargs + args.args
     first = len(positional) - len(args.defaults)
     for i, arg in enumerate(positional[first:], start=first):
-        yield f"{qualified}({arg.arg})", callee, arg.arg, i - skip
+        yield f"{qualified}({arg.arg})", callee, arg.arg, i - skip, fn
     for arg, default in zip(args.kwonlyargs, args.kw_defaults):
         if default is not None:
-            yield f"{qualified}({arg.arg})", callee, arg.arg, None
+            yield f"{qualified}({arg.arg})", callee, arg.arg, None, fn
 
 
 def _fields(qualified, cls):
-    """(option, class, name, position) of the plain-default fields of a
-    dataclass; field(...) defaults are not plain."""
+    """(option, class, name, position, None) of the plain-default fields
+    of a dataclass; field(...) defaults are not plain."""
     position = 0
     for node in cls.body:
         if not (isinstance(node, ast.AnnAssign)
@@ -181,7 +185,7 @@ def _fields(qualified, cls):
                 continue
         elif value is not None:
             yield (f"{qualified}.{node.target.id}", cls.name, node.target.id,
-                   position)
+                   position, None)
         position += 1
 
 
@@ -237,9 +241,13 @@ def _sets(call, name, position) -> bool:
 
 def _unset_options(trees):
     calls = list(_calls(trees))
-    return {option for option, callee, name, position in _options(trees)
-            if not any(used == callee and _sets(call, name, position)
-                       for used, call in calls)}
+    unset = set()
+    for option, callee, name, position, body in _options(trees):
+        own = {id(n) for n in ast.walk(body)} if body else set()
+        if not any(used == callee and id(call) not in own
+                   and _sets(call, name, position) for used, call in calls):
+            unset.add(option)
+    return unset
 
 
 def test_every_option_is_set_or_allowed():
@@ -261,3 +269,12 @@ def test_an_option_is_set_by_keyword_position_or_unpacking():
         "g(*args)\n"
         "P(u=1)\n")
     assert _unset_options({"m": tree}) == {"m.f(d)", "m.P.w"}
+
+
+def test_a_recursive_call_does_not_set_its_own_option():
+    recursive = ("def f(n, memo=True):\n"
+                 "    return f(n - 1, memo=memo) if n else 0\n"
+                 "f(3)\n")
+    assert _unset_options({"m": ast.parse(recursive)}) == {"m.f(memo)"}
+    caller = recursive + "def g(n):\n    return f(n, False)\n"
+    assert _unset_options({"m": ast.parse(caller)}) == set()

@@ -2,13 +2,16 @@
 import dataclasses
 import json
 import hashlib
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from scipy import integrate
 
 from gfsb.cli import main
 from gfsb.errors import IncompleteManifest, TaskFailure, ValidationError
@@ -135,12 +138,64 @@ def test_thread_count_env(monkeypatch):
 # ---------------------------------------------------------------- running
 
 
+KINK_CORNER = (0.6250547022243647, 0.34933065455156775, 1.0037050979491693)
+
+
+def _dblquad_cross(a, b, delta):
+    """Oracle for the c02 witness: adaptive dblquad of the same integrand
+    over the same three kink-split pieces."""
+    def above(v, u):
+        return math.exp(-a * u - a * v - b * (delta - u + v))
+
+    near, _ = integrate.dblquad(above, 0.0, delta, 0.0, np.inf,
+                                epsabs=1e-12, epsrel=1e-12)
+    far, _ = integrate.dblquad(above, delta, np.inf,
+                               lambda u: u - delta, np.inf,
+                               epsabs=1e-12, epsrel=1e-12)
+    lower, _ = integrate.dblquad(
+        lambda v, u: math.exp(-a * u - a * v - b * (u - delta - v)),
+        delta, np.inf, 0.0, lambda u: u - delta,
+        epsabs=1e-12, epsrel=1e-12)
+    return near + far + lower
+
+
+def _c02_triples(seed, count):
+    """The first ``count`` (a, b, delta) triples c02 draws from ``seed``."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        a, b = np.exp(rng.uniform(-1.5, 2.0, size=2))
+        out.append((a, b, rng.uniform(0.0, 2.0)))
+    return out
+
+
+def _c02_seed():
+    spec = load_spec(EXPERIMENTS / "c02-kernel-identities.spec")
+    return spec.resolved_parameters()["seed"]
+
+
 def test_cross_quadrature_witness_across_the_kink_corner():
     """The second triple of seed 20013 puts the kink corner u = delta
     where an unsplit outer integral misses the closed form by 3.7e-6."""
-    a, b, delta = 0.6250547022243647, 0.34933065455156775, 1.0037050979491693
-    assert abs(_cross_quadrature(a, b, delta)
-               - exp_cross_integral(a, b, delta)) < 1e-10
+    assert _c02_triples(_c02_seed() + 20000, 2)[1] == KINK_CORNER
+    assert abs(_cross_quadrature(*KINK_CORNER)
+               - exp_cross_integral(*KINK_CORNER)) < 1e-12
+
+
+def test_cross_quadrature_matches_the_dblquad_oracle():
+    for triple in _c02_triples(_c02_seed(), 10) + [KINK_CORNER]:
+        assert abs(_cross_quadrature(*triple)
+                   - _dblquad_cross(*triple)) < 1e-12, triple
+
+
+def test_cross_quadrature_on_fresh_draws():
+    """Twenty fresh c02 seeds of 50 triples each (the spec's seed shifted
+    by 1000 n, as the benchmark's fresh draws are)."""
+    base = _c02_seed()
+    worst = max(
+        abs(_cross_quadrature(*t) - exp_cross_integral(*t))
+        for n in range(1, 21) for t in _c02_triples(base + 1000 * n, 50))
+    assert worst <= 1e-12
 
 
 def test_run_writes_artifacts_and_summary(tmp_path):
@@ -279,12 +334,14 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 # c09 and c12 reach both Picard solvers, the time smoothing and the
-# Mittag-Leffler series; they too run on numpy alone.
+# Mittag-Leffler series, and c02 the kernel closed forms and their
+# quadrature witness; they too run on numpy alone.
 STUDY_PROBE = """\
 import sys
 from pathlib import Path
 from gfsb.harness import load_spec, run
-for stem in ("c09-solver-degeneration", "c12-dependence-envelope"):
+for stem in ("c02-kernel-identities", "c09-solver-degeneration",
+             "c12-dependence-envelope"):
     spec = load_spec(Path(sys.argv[1]) / (stem + ".spec"),
                      Path(sys.argv[2]) / stem)
     assert all(a["passed"] for a in run(spec).assertions), stem

@@ -458,6 +458,7 @@ def test_enhanced_difference_basics(slab_regime):
 def test_zero_enhanced_data_has_zero_norm():
     grid = Grid(n_modes=8, gamma=1.75)
     data = zero_enhanced_data(grid, 0.01 * np.arange(4), PARAMS)
-    assert data.norm == 0.0
     assert set(data.trees) == {"n", "lr", "rLlr"}
-    assert np.all(data.trees["n"].modes == 0.0)
+    for tree in data.trees.values():
+        assert tree.modes.shape == (4, 8)
+        assert np.all(tree.modes == 0.0)
