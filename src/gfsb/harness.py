@@ -17,6 +17,7 @@ import json
 import math
 import os
 import platform
+import resource
 import sys
 import time
 import warnings
@@ -379,6 +380,7 @@ class RunManifest:
     assertions: list = field(default_factory=list)
     versions: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
+    error: dict = field(default_factory=dict)
 
     @property
     def complete(self) -> bool:
@@ -396,7 +398,15 @@ class RunManifest:
                 "wall_times": self.wall_times,
                 "assertions": self.assertions,
                 "versions": self.versions,
-                "warnings": self.warnings}
+                "warnings": self.warnings,
+                "error": self.error,
+                "peak_rss_mb": _peak_rss_mb()}
+
+
+def _peak_rss_mb() -> float:
+    """The process's peak resident set so far (ru_maxrss is KiB on
+    Linux), read when the manifest is written."""
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
 def _versions() -> dict:
@@ -475,6 +485,7 @@ def run(spec: ExperimentSpec) -> RunManifest:
         raise
     except Exception as exc:
         manifest.statuses["run"] = "error"
+        manifest.error = {"type": type(exc).__name__, "message": str(exc)}
         manifest.versions = _versions()
         manifest.warnings = _warning_records(caught)
         _write_json(out_dir / "manifest.json", manifest.to_json())
@@ -1137,8 +1148,9 @@ def _run_appendix_integrals(params, seeds):
 def _double_exponential_rule():
     """Nodes and weights on [0, 1] (tanh-sinh) and on [0, inf)
     (exp-sinh): x = (1 + tanh y)/2 and x = e^y with y = (pi/2) sinh t,
-    stepping t by 1/16 over |t| <= 4, 129 nodes each.  A span of
-    |t| <= 3.2 already misses c02's closed forms by ~5e-9."""
+    stepping t by 1/16 over |t| <= 4, 129 nodes each.  c02's witness
+    takes products of these 1-D sums; a span of |t| <= 3.2 already
+    misses its closed forms by ~5e-9."""
     t = np.arange(-64, 65) / 16.0
     y = 0.5 * np.pi * np.sinh(t)
     dy = 0.5 * np.pi * np.cosh(t) / 16.0
@@ -1150,24 +1162,28 @@ def _double_exponential_rule():
 def _cross_quadrature(a, b, delta):
     """Double-exponential 2-D quadrature of e^{-au-av-b|delta-u+v|} over
     the quarter-plane, split along the kink line v = u - delta and at
-    u = delta, where that line meets the axis v = 0, so each piece has
-    a smooth integrand on a fixed box of the rule's nodes: u in
-    [0, delta] for ``near``, v = (u - delta) + s for ``far`` and
-    v = (u - delta) r for ``lower``.  The oracle is the three-dblquad
-    route in tests/test_harness.py."""
+    u = delta, where that line meets the axis v = 0.  On each piece the
+    sign of delta - u + v is fixed, so the exponent is linear in the
+    piece's two coordinates and its tensor-product sum is the product of
+    two 1-D sums over the rule's nodes:
+
+    - ``near``, u = delta x on [0, delta] and v >= 0: exponent
+      -b delta + (b - a) u - (a + b) v;
+    - ``far``, u = delta + h and v = h + s with h, s >= 0: exponent
+      -a delta - 2a h - (a + b) s;
+    - ``lower``, u = delta + v + s with v, s >= 0: the same exponent as
+      ``far``.  The reflection (u, v) -> (v + delta, u - delta) maps
+      ``lower`` onto ``far`` and keeps the integrand, so ``lower`` is
+      ``far`` again and the sum takes ``far`` twice.
+
+    Each constant factor sits in the exponent of one sum, so every
+    exponent is <= 0 and nothing overflows.  The oracles are the 129x129
+    grid route and the three-dblquad route in tests/test_harness.py."""
     unit, unit_w, half, half_w = _double_exponential_rule()
-
-    def piece(u, v, weight):
-        return float(np.sum(
-            weight * np.exp(-a * u - a * v - b * np.abs(delta - u + v))))
-
-    near = piece(delta * unit[:, None], half[None, :],
-                 delta * np.outer(unit_w, half_w))
-    u = delta + half[:, None]
-    rise = u - delta
-    far = piece(u, rise + half[None, :], np.outer(half_w, half_w))
-    lower = piece(u, rise * unit[None, :], rise * np.outer(half_w, unit_w))
-    return near + far + lower
+    tail = np.sum(half_w * np.exp(-(a + b) * half))
+    near = delta * np.sum(unit_w * np.exp(delta * ((b - a) * unit - b)))
+    far = np.sum(half_w * np.exp(-a * (delta + 2.0 * half)))
+    return float((near + 2.0 * far) * tail)
 
 
 def _appendix_identities(params):

@@ -19,7 +19,9 @@ from gfsb.kernels import exp_cross_integral
 from gfsb.harness import (
     ExperimentSpec,
     RunManifest,
+    _RUNNERS,
     _cross_quadrature,
+    _double_exponential_rule,
     _parse_seed_list,
     code_version,
     emit_plot_data,
@@ -159,6 +161,26 @@ def _dblquad_cross(a, b, delta):
     return near + far + lower
 
 
+def _tensor_cross(a, b, delta):
+    """Oracle for the c02 witness: the same double-exponential nodes as a
+    full 129x129 grid on each of the three kink-split pieces, with u in
+    [0, delta] for ``near``, v = (u - delta) + s for ``far`` and
+    v = (u - delta) r for ``lower``."""
+    unit, unit_w, half, half_w = _double_exponential_rule()
+
+    def piece(u, v, weight):
+        return float(np.sum(
+            weight * np.exp(-a * u - a * v - b * np.abs(delta - u + v))))
+
+    near = piece(delta * unit[:, None], half[None, :],
+                 delta * np.outer(unit_w, half_w))
+    u = delta + half[:, None]
+    rise = u - delta
+    far = piece(u, rise + half[None, :], np.outer(half_w, half_w))
+    lower = piece(u, rise * unit[None, :], rise * np.outer(half_w, unit_w))
+    return near + far + lower
+
+
 def _c02_triples(seed, count):
     """The first ``count`` (a, b, delta) triples c02 draws from ``seed``."""
     rng = np.random.default_rng(seed)
@@ -188,6 +210,16 @@ def test_cross_quadrature_matches_the_dblquad_oracle():
                    - _dblquad_cross(*triple)) < 1e-12, triple
 
 
+def test_cross_quadrature_matches_the_tensor_grid_oracle():
+    """The 1-D products equal the full grids of the same rule: the
+    spec's triples, the kink corner, a = b and delta = 0."""
+    triples = _c02_triples(_c02_seed(), 50) + [
+        KINK_CORNER, (1.3, 1.3, 0.7), (0.8, 2.5, 0.0)]
+    for triple in triples:
+        grid = _tensor_cross(*triple)
+        assert abs(_cross_quadrature(*triple) - grid) <= 1e-13 * grid, triple
+
+
 def test_cross_quadrature_on_fresh_draws():
     """Twenty fresh c02 seeds of 50 triples each (the spec's seed shifted
     by 1000 n, as the benchmark's fresh draws are)."""
@@ -209,6 +241,8 @@ def test_run_writes_artifacts_and_summary(tmp_path):
         manifest.statuses)
     stored = json.loads((spec.output_dir / "manifest.json").read_text())
     assert stored["spec_hash"] == spec.spec_hash()
+    assert stored["peak_rss_mb"] > 0
+    assert stored["error"] == {}
 
 
 def _artifact_hashes(manifest):
@@ -257,6 +291,21 @@ def test_runner_error_becomes_task_failure(tmp_path):
     stored = json.loads((tmp_path / "eps" / "manifest.json").read_text())
     assert stored["statuses"] == {"run": "error"}
     assert stored["versions"]["numpy"]
+
+
+def test_failure_manifest_names_the_exception(tmp_path, monkeypatch):
+    def boom(params, seeds):
+        raise RuntimeError("slab 3 diverged")
+
+    monkeypatch.setitem(_RUNNERS, "tree-algebra-audit", boom)
+    spec = load_spec(_write_spec(tmp_path, AUDIT_SPEC.format(out=tmp_path)))
+    with pytest.raises(TaskFailure):
+        run(spec)
+    stored = json.loads((spec.output_dir / "manifest.json").read_text())
+    assert stored["statuses"] == {"run": "error"}
+    assert stored["error"] == {"type": "RuntimeError",
+                               "message": "slab 3 diverged"}
+    assert stored["peak_rss_mb"] > 0
 
 
 def test_manifest_records_versions_and_validity_warnings(tmp_path):
