@@ -91,7 +91,7 @@ def tree_algebra(max_leaves, alpha, b, out):
     """Print the regular symbol subset, r-values, and pair whitelist."""
     try:
         params = RegularityParams(alpha=alpha, b=b)
-        subset = generate_regular_subset(max_leaves, params)
+        subset = generate_regular_subset(max_leaves)
         floor = verify_regularity_floor(max_leaves, params)
     except GFSBError as exc:
         raise click.UsageError(str(exc))

@@ -18,7 +18,6 @@ import math
 import os
 import platform
 import resource
-import sys
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -70,17 +69,6 @@ from .solver import (
 from .spectral import FourierField, Grid, flow_constants, pointwise_product
 from .trajectory import Trajectory
 from .trees import RegularityParams, parse_symbol, regular_set, verify_regularity_floor
-
-KINDS = (
-    "identity-suite",
-    "covariance",
-    "regularity-ladder",
-    "eps-convergence",
-    "solver-consistency",
-    "dependence-probe",
-    "tree-algebra-audit",
-    "appendix-integrals",
-)
 
 
 def thread_count() -> int:
@@ -299,9 +287,9 @@ class ExperimentSpec:
     output_dir: Path
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValidationError(
-                f"unknown study kind {self.kind!r}; expected one of {KINDS}")
+        if self.kind not in _SCHEMAS:
+            raise ValidationError(f"unknown study kind {self.kind!r}; "
+                                  f"expected one of {tuple(_SCHEMAS)}")
         if not self.name or not all(c.isalnum() or c in "._-" for c in self.name):
             raise ValidationError(
                 f"study name {self.name!r} must be a nonempty filesystem-safe token")
@@ -410,12 +398,9 @@ def _peak_rss_mb() -> float:
 
 
 def _versions() -> dict:
-    """Python and numpy versions, and scipy's once the process has loaded
-    it: bit-identity claims hold per pocketfft build."""
-    out = {"python": platform.python_version(), "numpy": np.__version__}
-    if "scipy" in sys.modules:
-        out["scipy"] = sys.modules["scipy"].__version__
-    return out
+    """Python and numpy versions: bit-identity claims hold per pocketfft
+    build."""
+    return {"python": platform.python_version(), "numpy": np.__version__}
 
 
 def _warning_records(caught) -> list:

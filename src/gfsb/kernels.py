@@ -19,8 +19,9 @@ to a constant document the constant cap they are checked against.
 
 The mode sums come last: the third-pairing sums whose decay in m is
 -(4 gamma - 6) for gamma > 3/2, the cross-pair sums completed by their
-continuum tail, and the exponent of the power-law series, which
-converges exactly when that exponent sits below -1.
+continuum tail (summed as a hypergeometric series), and the exponent
+of the power-law series, which converges exactly when that exponent
+sits below -1.
 """
 
 from __future__ import annotations
@@ -462,24 +463,44 @@ def _cross_pair_partial(a: int, p: float, q: float, K: int) -> float:
     return float(np.sum(np.abs(k - a) ** (-p) * np.abs(k) ** (-q)))
 
 
-def _cross_pair_tail(a: int, p: float, q: float, K: int) -> float:
-    """Continuum completion int_{|x| > K + 1/2} |x-a|^{-p} |x|^{-q} dx,
-    evaluated through x = (K + 1/2)/t so the quadrature lives on (0, 1]
-    (direct quadrature on (K, inf) underflows silently at large K)."""
-    from scipy import integrate
+def _cross_pair_tail(a, p: float, q: float, K: int) -> np.ndarray:
+    """Continuum completion int_{|x| > E} |x-a|^{-p} |x|^{-q} dx, E = K + 1/2,
+    for each offset in the array a.
 
+    Under x = E/t each side is Euler's integral for the Gauss
+    hypergeometric function (DLMF 15.6.1),
+
+        int_0^1 t^{s-1} (1 -+ z t)^{-p} dt = 2F1(p, s; s+1; +-z) / s,
+
+    with s = p + q - 1 and z = a/E.  Summed, the two sides cancel each
+    other's odd terms:
+
+        T = 2 E^{-s} sum_{n even} (p)_n z^n / (n! (s + n)),
+
+    a series in z^2 formed by its term ratio.  It stops once every
+    offset's last term is below 1e-17 of its sum; an offset so close to
+    the edge that 10000 terms do not get there raises DomainError.  The
+    integral converges exactly when s > 0 and |a| < E; anything else
+    raises DomainError.
+    """
     edge = K + 0.5
-
-    def one_side(sign):
-        def f(t):
-            x = edge / t
-            return abs(x - sign * a) ** (-p) * x ** (-q) * edge / t ** 2
-
-        val, _ = integrate.quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-10,
-                                limit=200)
-        return val
-
-    return one_side(1) + one_side(-1)
+    s = p + q - 1.0
+    z = np.asarray(a, dtype=float) / edge
+    if s <= 0:
+        raise DomainError(f"tail diverges: p + q = {p + q:g} must exceed 1")
+    if np.any(np.abs(z) >= 1.0):
+        raise DomainError(f"offsets must satisfy |a| < K + 1/2 = {edge:g}")
+    z2 = z * z
+    coef = np.ones_like(z)
+    total = np.full_like(z, 1.0 / s)
+    for n in range(0, 20000, 2):
+        coef = coef * ((p + n) * (p + n + 1) / ((n + 1) * (n + 2))) * z2
+        term = coef / (s + n + 2)
+        total += term
+        if np.all(np.abs(term) <= 1e-17 * np.abs(total)):
+            return 2.0 * edge ** (-s) * total
+    raise DomainError(
+        f"tail series needs more than 10000 terms at z = {np.max(np.abs(z)):.6g}")
 
 
 def power_law_exponent(gamma: float, a_prime: float = 0.05) -> float:
@@ -499,7 +520,9 @@ def uniform_cross_pair_sup(exponents, K: int, a_values) -> dict:
     if K < 64:
         raise DomainError(f"cutoff must be >= 64, got {K}")
     p, q = exponents
-    vals = {int(a): _cross_pair_partial(a, p, q, K)
-            + _cross_pair_tail(a, p, q, K) for a in a_values}
+    offsets = [int(a) for a in a_values]
+    tails = _cross_pair_tail(offsets, p, q, K)
+    vals = {a: _cross_pair_partial(a, p, q, K) + float(t)
+            for a, t in zip(offsets, tails)}
     ratio = max(vals.values()) / min(vals.values())
     return {"values": vals, "max_min_ratio": ratio}

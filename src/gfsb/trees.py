@@ -123,38 +123,25 @@ class RegularityParams:
         return 2 * self.alpha + self.b > 0
 
 
-_REG_CACHE: dict[tuple[str, float, float], float] = {}
-
-
-def regularity(sym: TreeSymbol, params: RegularityParams, use_cache: bool = True) -> float:
+def regularity(sym: TreeSymbol, params: RegularityParams) -> float:
     """Regularity exponent r(sym), by structural recursion.
 
     r(generator) = alpha; r(a*b) = min(r(a), r(b), r(a)+r(b)) + b.
-    Memoized on (canonical_key, alpha, b); ``use_cache=False`` recomputes
-    from scratch (used to audit cache soundness).
     """
     if sym.kind == "unit":
         raise UnitSymbol("regularity is undefined on the unit symbol")
-    cache_key = (sym.canonical_key, params.alpha, params.b)
-    if use_cache and cache_key in _REG_CACHE:
-        return _REG_CACHE[cache_key]
     if sym.kind == "gen":
-        val = params.alpha
-    else:
-        r1 = regularity(sym.children[0], params, use_cache)
-        r2 = regularity(sym.children[1], params, use_cache)
-        val = min(r1, r2, r1 + r2) + params.b
-    if use_cache:
-        _REG_CACHE[cache_key] = val
-    return val
+        return params.alpha
+    r1 = regularity(sym.children[0], params)
+    r2 = regularity(sym.children[1], params)
+    return min(r1, r2, r1 + r2) + params.b
 
 
-def generate_regular_subset(max_leaves: int, params: RegularityParams) -> list[TreeSymbol]:
+def generate_regular_subset(max_leaves: int) -> list[TreeSymbol]:
     """All canonical symbols with at most ``max_leaves`` generator leaves.
 
     Ordered by (leaf count, key), so every product appears strictly after
-    both of its factors.  ``params`` does not affect membership; it is kept
-    so callers can pass one context object around.
+    both of its factors.
     """
     if max_leaves < 1:
         raise ValueError("max_leaves must be >= 1")
@@ -229,7 +216,7 @@ def verify_regularity_floor(max_leaves: int, params: RegularityParams) -> FloorR
     if params.alpha >= 0:
         raise PreconditionViolated(f"needs alpha < 0, got {params.alpha}")
     floor = 2 * params.alpha + params.b
-    symbols = generate_regular_subset(max_leaves, params)
+    symbols = generate_regular_subset(max_leaves)
     min_product_r = float("inf")
     argmin = ""
     min_all = float("inf")

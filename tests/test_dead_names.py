@@ -68,8 +68,6 @@ OPTIONS_ALLOWED = {
     "spectral.FourierField.to_physical(n_points)":
         "the tests' oracles read fields on grids of their own",
     "spectral.write_snapshot(beta)": "a field of the snapshot format",
-    "trees.regularity(use_cache)":
-        "tests/test_trees.py audits the memo against a recompute",
 }
 
 

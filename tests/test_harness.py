@@ -1,4 +1,5 @@
 """Study harness: spec files, manifests, determinism, CLI plumbing."""
+import ast
 import dataclasses
 import json
 import hashlib
@@ -20,6 +21,7 @@ from gfsb.harness import (
     ExperimentSpec,
     RunManifest,
     _RUNNERS,
+    _SCHEMAS,
     _cross_quadrature,
     _double_exponential_rule,
     _parse_seed_list,
@@ -125,6 +127,10 @@ def test_spec_validation_rejects_bad_input(tmp_path):
                           seeds=(0,), output_dir=tmp_path)
     with pytest.raises(ValidationError):   # check= is required
         spec.resolved_parameters()
+
+
+def test_every_study_kind_has_a_schema_and_a_runner():
+    assert set(_SCHEMAS) == set(_RUNNERS)
 
 
 def test_thread_count_env(monkeypatch):
@@ -383,14 +389,15 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 # c09 and c12 reach both Picard solvers, the time smoothing and the
-# Mittag-Leffler series, and c02 the kernel closed forms and their
-# quadrature witness; they too run on numpy alone.
+# Mittag-Leffler series, c02 the kernel closed forms and their
+# quadrature witness, and c07 the cross-pair sums and their
+# hypergeometric tail; they too run on numpy alone.
 STUDY_PROBE = """\
 import sys
 from pathlib import Path
 from gfsb.harness import load_spec, run
-for stem in ("c02-kernel-identities", "c09-solver-degeneration",
-             "c12-dependence-envelope"):
+for stem in ("c02-kernel-identities", "c07-mode-summability",
+             "c09-solver-degeneration", "c12-dependence-envelope"):
     spec = load_spec(Path(sys.argv[1]) / (stem + ".spec"),
                      Path(sys.argv[2]) / stem)
     assert all(a["passed"] for a in run(spec).assertions), stem
@@ -413,6 +420,23 @@ def test_cli_import_leaves_heavy_scipy_unloaded(tmp_path):
 
 def test_solver_studies_load_no_scipy(tmp_path):
     assert _probe(STUDY_PROBE, EXPERIMENTS, tmp_path) == "[]"
+
+
+def test_no_module_imports_scipy():
+    # every import statement, at any depth (a lazy import sits inside a
+    # function); scipy is a test-only oracle
+    found = []
+    for path in sorted((ROOT / "src" / "gfsb").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_cli_verify_identities(tmp_path):

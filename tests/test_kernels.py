@@ -12,6 +12,7 @@ from gfsb.errors import DomainError, ZeroModeK
 from gfsb.kernels import (
     BoundCheck,
     _cross_pair_partial,
+    _cross_pair_tail,
     exp_cross_integral,
     exp_difference_bound,
     five_exp_bound,
@@ -444,6 +445,47 @@ def test_third_pairing_sum_domain():
 
 
 # ------------------------------------------------------------- summability
+
+
+def _quad_tail(a, p, q, K):
+    """Two-sided adaptive quadrature of the continuum tail under
+    x = (K + 1/2)/t: the oracle for the hypergeometric series."""
+    edge = K + 0.5
+
+    def one_side(sign):
+        def f(t):
+            x = edge / t
+            return abs(x - sign * a) ** (-p) * x ** (-q) * edge / t ** 2
+
+        val, _ = integrate.quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-10,
+                                limit=200)
+        return val
+
+    return one_side(1) + one_side(-1)
+
+
+@pytest.mark.parametrize("K", [64, 128, 4096])
+def test_cross_pair_tail_matches_the_quad_oracle(K):
+    offsets = np.arange(1, K // 2 + 1)
+    series = _cross_pair_tail(offsets, 0.6, 0.5, K)
+    quad = np.array([_quad_tail(a, 0.6, 0.5, K) for a in offsets])
+    assert np.max(np.abs(series - quad) / quad) <= 1e-10
+
+
+def test_cross_pair_tail_at_zero_offset():
+    p, q, K = 0.6, 0.5, 4096
+    s = p + q - 1.0
+    assert _cross_pair_tail(0, p, q, K) == pytest.approx(
+        2.0 * (K + 0.5) ** (-s) / s, rel=1e-15)
+
+
+def test_cross_pair_tail_domain():
+    with pytest.raises(DomainError):
+        _cross_pair_tail(8, 0.3, 0.5, 4096)
+    with pytest.raises(DomainError):
+        _cross_pair_tail(4097, 0.6, 0.5, 4096)
+    with pytest.raises(DomainError):
+        _cross_pair_tail(-4097, 0.6, 0.5, 4096)
 
 
 def test_summability_cross_pair_frozen():
