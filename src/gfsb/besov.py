@@ -366,8 +366,14 @@ _SUP_ROWS = 16
 def sobolev_norms(modes: np.ndarray, grid: Grid, s: float) -> np.ndarray:
     """H^s norm sqrt(2 sum_k k^(2s) |c_k|^2) of every row of ``modes``;
     the leading axes are kept."""
+    return _sobolev_of_moduli(np.abs(modes), grid, s)
+
+
+def _sobolev_of_moduli(moduli: np.ndarray, grid: Grid, s: float
+                       ) -> np.ndarray:
+    """``sobolev_norms`` of the rows whose |c_k| are ``moduli``."""
     k = grid.wavenumbers
-    return np.sqrt(2.0 * np.sum(k ** (2 * s) * np.abs(modes) ** 2, axis=-1))
+    return np.sqrt(2.0 * np.sum(k ** (2 * s) * moduli ** 2, axis=-1))
 
 
 def _read_sups(band, out: np.ndarray, n_points: int) -> np.ndarray:
@@ -429,22 +435,27 @@ def intersection_sup(modes: np.ndarray, grid: Grid, s: float) -> float:
     order N * eps of the exact values (2e-13 at N = 1024), so its
     computed weighted sup cannot exceed the running max.  A read pair
     meets the same array and transform as in ``holder_norms``, so the
-    result is the full route's max bit for bit.  Pairs go by descending
-    bound (stable order), _SUP_ROWS at a time, up to the first chunk with
-    no surviving pair.  A non-finite bound or Sobolev norm (NaN or inf
-    input, overflow) takes the full route, so the result stays
-    non-finite."""
+    result is the full route's max bit for bit.  |c| is taken once, for
+    the bounds and the Sobolev norms both.  Only the pairs whose bound
+    beats the largest Sobolev norm are sorted, by descending bound
+    (stable order): the running max never falls below that start, so
+    no other pair can be read.  They go _SUP_ROWS at a time, up to the
+    first chunk with no surviving pair.  A non-finite bound or Sobolev
+    norm (NaN or inf input, overflow) takes the full route, so the
+    result stays non-finite."""
     rows = modes.reshape(-1, modes.shape[-1])
     _, w = _partition_weights(grid.n_modes)
     scale = _block_scales(w.shape[0], s)
+    moduli = np.abs(rows)
     with np.errstate(invalid="ignore", over="ignore"):
-        bound = (scale * (2.0 * (np.abs(rows) @ w.T))).ravel()
-    sob = sobolev_norms(rows, grid, s)
+        bound = (scale * (2.0 * (moduli @ w.T))).ravel()
+    sob = _sobolev_of_moduli(moduli, grid, s)
     top = float(np.max(sob))
     if not (math.isfinite(top) and np.all(np.isfinite(bound))):
         return float(np.max(np.maximum(sob, holder_norms(rows, grid.n_modes,
                                                          s))))
-    order = np.argsort(-bound, kind="stable")
+    cand = np.flatnonzero(bound * (1.0 + 1e-12) > top)
+    order = cand[np.argsort(-bound[cand], kind="stable")]
     for i in range(0, order.size, _SUP_ROWS):
         chunk = order[i:i + _SUP_ROWS]
         live = chunk[bound[chunk] * (1.0 + 1e-12) > top]

@@ -39,14 +39,19 @@ def duhamel_scan(forcing: np.ndarray, decay: np.ndarray,
     = (1 - decay)/|k|^gamma are per-mode constants.  The trapezoid-in-g
     update F_{n+1} = decay F_n + weight (g_n + g_{n+1})/2 reproduces a
     constant forcing's steady state g/|k|^gamma exactly.
+
+    The drive weight (g_n + g_{n+1})/2 of every step is written into
+    ``out[1:]`` in one pass, and the march then only adds decay F_n.
+    IEEE addition and multiplication commute exactly, so the values are
+    those of the update as written above, bit for bit.
     """
     out = np.empty_like(forcing, dtype=np.complex128)
     out[..., 0, :] = 0.0 if init is None else init
-    half = 0.5 * weight
+    drive = out[..., 1:, :]
+    np.add(forcing[..., :-1, :], forcing[..., 1:, :], out=drive)
+    drive *= 0.5 * weight
     for n in range(forcing.shape[-2] - 1):
-        out[..., n + 1, :] = (decay * out[..., n, :]
-                              + half * (forcing[..., n, :]
-                                        + forcing[..., n + 1, :]))
+        out[..., n + 1, :] += decay * out[..., n, :]
     return out
 
 

@@ -11,6 +11,7 @@ common regime:
 * ``solve_subcritical`` iterates the remainder v = u - (coefficient-
   weighted trees); its forcing collects the pairwise tree products whose
   regularities sum positively, plus the cross term against the trees.
+  A sweep samples v once for its square and its cross term.
 * ``solve_paracontrolled`` iterates the coupled pair (u', u#): u' rides
   the time-smoothed paraproduct against the antiderivative Q of the
   differentiated forced flow, and u# collects every leftover of the
@@ -20,8 +21,13 @@ common regime:
   split is exact, lower(f, g) + resonant(f, g) + lower(g, f) = f g, so
   those three pairings sum to the plain product u' y, and a sweep's
   whole forcing is the square of the quadratic tree X plus one product,
-  c d/dx(u' (u' + 2 X + 2 y)).  The tree square, and Q sampled on every
-  block grid, are formed once per slab attempt.
+  c d/dx(u' (u' + 2 X + 2 y)).  A sweep's two steps, of u' and of u#,
+  are both measured at exponent s, so one norm read of their rows
+  gives the larger.
+
+The tree square, Q sampled on every block grid, and the subcritical
+drift (the coefficient-weighted tree sum) sampled on its product grid
+are formed once per slab attempt.
 
 The shared discretization applies the stiff linear part exactly through
 the per-mode exponential and the nonlinearity through trapezoid-weighted
@@ -52,8 +58,9 @@ from .errors import (BlowupDetected, ConfigMismatch, DomainError,
                      PreconditionViolated, TimeGridMismatch, ValidationError)
 from .kernels import COUPLING
 from .noise import sample_Y
-from .spectral import (FourierField, Grid, derivative_symbol, flow_constants,
-                       free_flow, modes_to_physical, product_modes)
+from .spectral import (FourierField, Grid, _product_grid, _product_of_samples,
+                       derivative_symbol, flow_constants, free_flow,
+                       modes_to_physical, product_modes)
 from .trajectory import Trajectory
 from .trees import (GENERATOR_KEY, CoefficientMap, RegularityParams,
                     TreeSymbol, parse_symbol, product, regular_set,
@@ -485,19 +492,26 @@ def solve_subcritical(data: EnhancedData, coefficients, u0: FourierField, *,
             cached[pk] = product_modes(data.trees[pk[0]].modes,
                                        data.trees[pk[1]].modes, n_mod)
         pair_sum = pair_sum + w12 * cached[pk]
-    pair_forcing = COUPLING * derivative_symbol(grid) * pair_sum
+    dx = COUPLING * derivative_symbol(grid)
+    pair_forcing = dx * pair_sum
 
     v = np.zeros((len(times), n_mod), dtype=np.complex128)
     v[0] = u0.modes
+    # the square's grid, shared by both products of a sweep
+    m, top = _product_grid(n_mod, n_mod, n_mod)
 
     def attempt(i0, steps):
         sl = slice(i0, i0 + steps + 1)
-        drift_sl = drift[sl]
+        drift_phys = modes_to_physical(drift[sl], m)
         pair_sl = pair_forcing[sl]
 
         def sweep(cur):
-            g = (bilinear_forcing(cur, cur, grid)
-                 + 2.0 * bilinear_forcing(cur, drift_sl, grid)
+            # bilinear_forcing(cur, cur) + 2 bilinear_forcing(cur, drift),
+            # with cur sampled once and the drift once per attempt
+            cur_phys = modes_to_physical(cur, m)
+            g = (dx * _product_of_samples(cur_phys, cur_phys, m, top, n_mod)
+                 + 2.0 * (dx * _product_of_samples(cur_phys, drift_phys, m,
+                                                   top, n_mod))
                  + pair_sl)
             new = duhamel_scan(g, decay, weight, init=v[i0])
             return new, intersection_sup(new - cur, grid, s)
@@ -623,7 +637,7 @@ def solve_paracontrolled(data: EnhancedData, coefficients, u0: FourierField,
             sharp_full = np.concatenate([u_sharp[:i0], sharp_cur], axis=0)
             para = smoothed_para(hi, q_blk)
             prime_new = xr + para + sharp_full
-            d_prime = intersection_sup(prime_new - u_prime[:hi], grid, s)
+            prime_step = prime_new - u_prime[:hi]
             u_prime[:hi] = prime_new
             # lower(u', y) + resonant(u', y) + lower(y, u') = u' y
             rhs = tree_square + bilinear_forcing(prime_new, prime_new + drive,
@@ -632,8 +646,9 @@ def solve_paracontrolled(data: EnhancedData, coefficients, u0: FourierField,
                                    init=u_sharp[i0])
             sharp_new = scanned - (para[i0:hi]
                                    - free_flow(para[i0], grid, rel))
-            d_sharp = intersection_sup(sharp_new - sharp_cur, grid, s)
-            return sharp_new, max(d_sharp, d_prime)
+            # both steps at exponent s: one norm read of their rows
+            step = np.concatenate([prime_step, sharp_new - sharp_cur])
+            return sharp_new, intersection_sup(step, grid, s)
 
         prime_before = u_prime[:hi].copy()
         try:

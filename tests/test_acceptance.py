@@ -1,15 +1,22 @@
 """Acceptance gate: every shipped study runs green within its budget.
 
 Each test loads one spec from experiments/, executes it end to end,
-and checks four things: the study's assertions all passed, the
+and checks five things: the study's assertions all passed, the
 assertion set covers what the criterion promises, every assertion value
 matches experiments/baseline_values.json within max(1e-12, 1e-9*|ref|),
-or within its own tighter tolerance in TOLERANCES, and the wall time
-stays under the stated ceiling.  One pass/fail line per criterion.
+or within its own tighter tolerance in TOLERANCES, every artifact but
+manifest.json has the sha256 recorded in
+experiments/artifact_digests.json, and the wall time stays under the
+stated ceiling.  The digests hold for the platform they were taken on
+(Python, numpy, numpy's SIMD targets); elsewhere they are not compared,
+and the criterion line and a DigestsNotCompared warning say so.  One
+pass/fail line per criterion.
 """
 import json
 import math
+import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -20,6 +27,15 @@ pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
 BASELINE = json.loads((EXPERIMENTS / "baseline_values.json").read_text())
+
+sys.path.insert(0, str(EXPERIMENTS))
+import capture_digests  # noqa: E402
+
+DIGESTS = json.loads(capture_digests.DIGESTS.read_text())
+
+
+class DigestsNotCompared(Warning):
+    """The artifact digests were taken on another platform."""
 
 # Absolute tolerances for values far under the 1e-12 floor.  Each is ten
 # times the largest move of the value when the study is rerun with every
@@ -57,6 +73,28 @@ def _baseline_drift(stem, assertions):
     return drift
 
 
+def _digest_drift(stem, out_dir):
+    """(note for the criterion line, artifacts whose sha256 is not the
+    recorded one, or that only one side has)."""
+    taken, here = DIGESTS["taken_under"], capture_digests.platform_key()
+    if here != taken:
+        keys = sorted(k for k in set(taken) | set(here)
+                      if taken.get(k) != here.get(k))
+        note = ("digests not compared: taken under "
+                + ", ".join(f"{k} {taken.get(k)}" for k in keys)
+                + ", running under "
+                + ", ".join(f"{k} {here.get(k)}" for k in keys))
+        warnings.warn(f"{stem}: {note}", DigestsNotCompared)
+        return note, []
+    want = DIGESTS["studies"].get(stem, {})
+    got = capture_digests.digests(out_dir)
+    moved = sorted(name for name in set(want) | set(got)
+                   if want.get(name) != got.get(name))
+    if moved:
+        return f"{len(moved)} of {len(got)} artifacts off their digests", moved
+    return f"{len(got)} artifacts byte-identical", moved
+
+
 @pytest.fixture(scope="session")
 def out_root(tmp_path_factory):
     return tmp_path_factory.mktemp("acceptance")
@@ -69,15 +107,18 @@ def _run_criterion(out_root, stem, budget_s, required):
     manifest = run(spec)
     elapsed = time.perf_counter() - start
     failed = [a["name"] for a in manifest.assertions if not a["passed"]]
-    verdict = "PASS" if (not failed and elapsed < budget_s) else "FAIL"
+    note, moved = _digest_drift(stem, spec.output_dir)
+    verdict = ("PASS" if (not failed and not moved and elapsed < budget_s)
+               else "FAIL")
     print(f"criterion {stem}: {verdict} "
-          f"({elapsed:.1f}s of {budget_s:.0f}s budget)")
+          f"({elapsed:.1f}s of {budget_s:.0f}s budget; {note})")
     assert required <= set(manifest.statuses), (
         f"study is missing expected checks: "
         f"{required - set(manifest.statuses)}")
     assert not failed, f"failed assertions: {failed}"
     drift = _baseline_drift(stem, manifest.assertions)
     assert not drift, f"values off the baseline: {drift}"
+    assert not moved, f"artifacts off their digests: {moved}"
     assert elapsed < budget_s, f"{elapsed:.1f}s exceeded {budget_s:.0f}s"
     return manifest
 

@@ -489,12 +489,33 @@ def sweep_differences():
 @pytest.mark.parametrize("shape", ["reconstruction", "c10"])
 def test_w_sup_matches_full_route_on_sweep_differences(sweep_differences,
                                                        shape):
+    """Each argument is one slab's rows or, in a paracontrolled sweep,
+    the steps of u' and u# stacked by rows."""
     calls = sweep_differences[shape]
     assert len(calls) >= 4
+    rows, n_modes = (51, 128) if shape == "reconstruction" else (1001, 256)
+    stacked = 0
     for modes, grid, s in calls:
-        assert modes.shape == ((51, 128) if shape == "reconstruction"
-                               else (1001, 256))
+        assert modes.shape in ((rows, n_modes), (2 * rows, n_modes))
+        stacked += modes.shape[0] == 2 * rows
         assert intersection_sup(modes, grid, s) == full_w_sup(modes, grid, s)
+    assert stacked >= 3
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_w_sup_reads_no_pair_of_sweep_rows_under_a_loud_sobolev_row(
+        sweep_differences, pairs_read):
+    """A stacked paracontrolled step with one loud row added at mode 128,
+    which blocks 6 and 7 share half and half, so that row's Sobolev norm
+    beats every l1 bound, its own included: no pair is sorted or read,
+    and the max is that Sobolev norm."""
+    modes, grid, s = next(c for c in sweep_differences["reconstruction"]
+                          if c[0].shape == (102, 128))
+    loud = np.zeros((1, 128), dtype=complex)
+    loud[0, 127] = 1e3 * 128 * np.max(np.abs(modes))
+    rows = np.concatenate([modes, loud])
+    assert pairs_read(rows, grid, s) == 0
+    assert intersection_sup(rows, grid, s) == sobolev_norms(loud, grid, s)[0]
 
 
 def test_w_sup_sides_of_the_adversarial_rows():

@@ -226,6 +226,46 @@ def test_slab_shrink_resamples_the_fixed_factors(slab_regime, monkeypatch):
                   - direct.modes[:len(held.u_q)]) < 1e-9
 
 
+def test_subcritical_sweep_forcing_is_the_two_products_bit_for_bit(
+        monkeypatch):
+    """Each remainder sweep samples its iterate once, and the drift once
+    per attempt, for both of its products.  At the reconstruction shape
+    (51 nodes, N = 128) its forcing must equal
+    bilinear_forcing(v, v) + 2 bilinear_forcing(v, drift) byte for byte.
+    Only the generator is weighted, so no tree pair enters and the pair
+    term is an array of exact zeros."""
+    grid = Grid(n_modes=128, gamma=1.75)
+    cfg = NoiseConfig(gamma=1.75, epsilon=0.0625, seed=21, dt=4e-4,
+                      t_end=0.02)
+    data = build_enhanced_data(sample_Y(cfg, grid), PARAMS)
+    u0 = _u0(grid, (0.08 - 0.02j, 0.03 + 0.01j, -0.015j))
+    sampled, forcings = [], []
+    sample, scan = gfsb.solver.modes_to_physical, gfsb.solver.duhamel_scan
+
+    def sample_spy(modes, n_points):
+        sampled.append(modes.copy())
+        return sample(modes, n_points)
+
+    def scan_spy(g, decay, weight, init=None):
+        forcings.append(g.copy())
+        return scan(g, decay, weight, init=init)
+
+    monkeypatch.setattr(gfsb.solver, "modes_to_physical", sample_spy)
+    monkeypatch.setattr(gfsb.solver, "duhamel_scan", scan_spy)
+    state = solve_subcritical(data, {"n": 1.0, "lr": 0.0, "rLlr": 0.0}, u0,
+                              tol=1e-12)
+    assert len(state.diagnostics["slabs"]) == 1
+    drift, iterates = sampled[0], sampled[1:]
+    assert drift.shape == (51, 128)
+    assert np.array_equal(drift, data.trees["n"].modes)
+    assert len(iterates) == len(forcings) >= 3
+    for cur, got in zip(iterates, forcings):
+        want = (bilinear_forcing(cur, cur, grid)
+                + 2.0 * bilinear_forcing(cur, drift, grid)
+                + np.zeros_like(got))
+        assert got.tobytes() == want.tobytes()
+
+
 def test_contract_stops_below_tol_or_raises():
     """The shared Picard loop keeps the iterate whose distance first
     falls below tol, and gives up on growth past 1e6 times the first
