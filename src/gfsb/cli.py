@@ -1,8 +1,8 @@
 """Command-line front end: quick checks, solves, and full study runs.
 
 Exit codes: 0 all checks passed, 1 at least one assertion failed,
-2 bad input or a study that errored mid-flight.  GFSB_THREADS caps
-worker threads for seed-parallel studies.
+2 bad input or a study that errored mid-flight.  GFSB_THREADS caps the
+workers of regularity-ladder, the one study that spreads seeds over them.
 """
 from __future__ import annotations
 
@@ -161,14 +161,18 @@ def sample_tree(symbol, gamma, epsilon, n_modes, dt, t_end, seed, stride, out):
               help="Monte-Carlo replicas (ou and wick checks).")
 @click.option("--replicas", default=1000, show_default=True,
               help="Monte-Carlo replicas (tree check).")
-@click.option("--gammas", default="1.6,2.0", show_default=True)
+@click.option("--gammas", default=None,
+              help="Comma list; wick takes one.  Unset: the check's default.")
 @click.option("--out", type=click.Path(), default="runs", show_default=True)
 def check_covariance(check, samples, replicas, gammas, out):
     """Empirical second/higher moments against their closed forms."""
-    _run_adhoc(f"check-{check}", "covariance",
-               {"check": check, "samples": str(samples),
-                "replicas": str(replicas), "gammas": gammas},
-               (0,), out)
+    kind = {"ou": "ou-covariance", "wick": "wick-moments",
+            "tree": "tree-moments"}[check]
+    params = ({"replicas": str(replicas)} if check == "tree"
+              else {"samples": str(samples)})
+    if gammas is not None:
+        params["gamma" if check == "wick" else "gammas"] = gammas
+    _run_adhoc(f"check-{check}", kind, params, (), out)
 
 
 @main.command("verify-identities")

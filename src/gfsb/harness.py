@@ -1,11 +1,14 @@
 """Experiment orchestration: key=value study specs in, artifacts out.
 
 A study lives in a small text file with one metadata section and one
-parameter section.  Running it executes the named study with every bit
-of randomness drawn from the listed seeds, writes CSV/JSON artifacts
-atomically (write-temp-then-rename), and returns a manifest.  Identical
-spec + seeds reproduce the numeric artifacts byte for byte, regardless
-of how many worker threads GFSB_THREADS allows.
+parameter section.  Each kind has its own schema, listing exactly the
+parameters its study reads; the three kinds that loop over seeds take a
+seed list, and every other kind draws from its ``seed`` parameter or from
+nothing.  Running a spec writes CSV/JSON artifacts atomically
+(write-temp-then-rename) and returns a manifest.  Identical specs
+reproduce the numeric artifacts byte for byte; only regularity-ladder
+spreads its seeds over the GFSB_THREADS workers, and its artifacts do not
+depend on how many there are.
 """
 from __future__ import annotations
 
@@ -145,117 +148,10 @@ def _pairs(text: str):
     return tuple(out)
 
 
-_REQUIRED = object()
-
-# Parameter schema per study kind: name -> (cast, default).  Missing
-# defaults are required; unknown names are rejected up front.
-_SCHEMAS = {
-    "identity-suite": {
-        "n_modes": (int, 256),
-        "tolerance": (float, 1e-12),
-        "smoothed_probes": (int, 3),
-        "smoothed_n_modes": (int, 64),
-        "smoothed_nodes": (int, 16),
-    },
-    "covariance": {
-        "check": (str, _REQUIRED),          # ou | wick | tree
-        "gammas": (_floats, (1.6, 2.0)),
-        "wavenumbers": (_ints, (1, 2, 4)),
-        "samples": (int, 10_000),
-        "n_modes": (int, 4),
-        "dt": (float, 0.05),
-        "nodes": (int, 5),
-        "se_factor": (float, 3.0),
-        "min_fraction": (float, 0.95),
-        "seed": (int, 7),
-        "purpose0": (int, 1000),
-        "burn": (float, 7.0),
-        "replicas": (int, 4000),
-    },
-    "regularity-ladder": {
-        "gamma": (float, 1.75),
-        "n_modes": (int, 1024),
-        "dt": (float, 5e-5),
-        "t_end": (float, 0.15),
-        "j_lo": (int, 3),
-        "j_hi": (int, 8),
-        "floor_n": (float, -0.35),
-        "floor_lr": (float, -0.10),
-        "floor_rLlr": (float, 0.15),
-    },
-    "eps-convergence": {
-        "gamma": (float, 1.75),
-        "n_modes": (int, 32),
-        "dt": (float, 1e-3),
-        "t_end": (float, 1.0),
-        "levels": (_ints, (2, 3, 4, 5)),    # epsilon = 2^-level
-        "exponent": (float, -0.3),
-        "u0_modes": (_complexes, (0.05 - 0.01j, 0.02j)),
-    },
-    "solver-consistency": {
-        "study": (str, _REQUIRED),          # degeneration | reconstruction
-        "gamma": (float, 2.0),
-        "n_modes": (int, 16),
-        "dt": (float, 1e-3),
-        "t_end": (float, 0.1),
-        "epsilon": (float, 0.0),
-        "seed": (int, 0),
-        "alpha": (float, -0.2),
-        "b": (float, 0.5),
-        "u0_modes": (_complexes, (0.08 - 0.02j, 0.03 + 0.01j, -0.015j)),
-        "solve_tol": (float, 1e-12),
-        "match_tol": (float, 1e-8),
-        "residual_dts": (_floats, (4e-3, 2e-3, 1e-3, 5e-4)),
-        "residual_t_end": (float, 0.2),
-        "order_center": (float, 2.0),
-        "order_window": (float, 0.3),
-        "exponent": (float, -0.3),
-        "rel_bound": (float, 0.05),
-    },
-    "dependence-probe": {
-        "gamma": (float, 1.75),
-        "n_modes": (int, 64),
-        "epsilon": (float, 0.125),
-        "seed": (int, 11),
-        "dt": (float, 1e-3),
-        "t_end": (float, 0.25),
-        "alpha": (float, -0.2),
-        "b": (float, 0.5),
-        "u0_modes": (_complexes, (0.05 - 0.01j, 0.02j)),
-        "sizes": (_floats, (1e-1, 1e-2, 1e-3, 1e-4)),
-        "tol": (float, 1e-9),
-        "slope_center": (float, 1.0),
-        "slope_window": (float, 0.15),
-        "envelope_slack": (float, 1e-6),
-        "ml_tolerance": (float, 1e-12),
-    },
-    "tree-algebra-audit": {
-        "max_leaves": (int, 8),
-        "pairs": (_pairs, ((-0.24, 0.5), (-0.2, 0.5), (-0.1, 0.6))),
-        "listing_alpha": (float, -0.2),
-        "listing_b": (float, 0.5),
-    },
-    "appendix-integrals": {
-        "family": (str, _REQUIRED),         # identities | summability
-        "triples": (int, 50),
-        "tolerance": (float, 1e-8),
-        "seed": (int, 13),
-        "bound_draws": (int, 20),
-        "K": (int, 4096),
-        "a_max": (int, 2048),
-        "exponents": (_floats, (0.6, 0.5)),
-        "ratio_bound": (float, 2.0),
-        "gamma_convergent": (float, 1.6),
-        "gamma_divergent": (float, 1.2),
-        "a_prime": (float, 0.05),
-    },
-}
-
-
 def _resolve_parameters(schema: dict, parameters: dict, owner: str) -> dict:
     """Cast string values and fill defaults against ``schema`` (name ->
-    (cast, default)); unknown names, unreadable values and missing
-    required names raise ValidationError."""
+    (cast, default)); unknown names and unreadable values raise
+    ValidationError."""
     out = {}
     for key, raw in parameters.items():
         if key not in schema:
@@ -266,14 +162,9 @@ def _resolve_parameters(schema: dict, parameters: dict, owner: str) -> dict:
         except (ValueError, TypeError) as exc:
             raise ValidationError(
                 f"parameter {key!r}: cannot read {raw!r}") from exc
-    for key, (cast, default) in schema.items():
-        if key in out:
-            continue
-        if default is _REQUIRED:
-            raise ValidationError(f"{owner} requires parameter {key!r}")
-        out[key] = default
+    for key, (_, default) in schema.items():
+        out.setdefault(key, default)
     return out
-
 
 
 @dataclass(frozen=True)
@@ -287,16 +178,22 @@ class ExperimentSpec:
     output_dir: Path
 
     def __post_init__(self):
-        if self.kind not in _SCHEMAS:
+        if self.kind not in _STUDIES:
             raise ValidationError(f"unknown study kind {self.kind!r}; "
-                                  f"expected one of {tuple(_SCHEMAS)}")
+                                  f"expected one of {tuple(_STUDIES)}")
         if not self.name or not all(c.isalnum() or c in "._-" for c in self.name):
             raise ValidationError(
                 f"study name {self.name!r} must be a nonempty filesystem-safe token")
+        # a runner that reads the seed list takes it: runner(params, seeds)
+        seeded = _STUDIES[self.kind][0].__code__.co_argcount == 2
+        if seeded != bool(self.seeds):
+            raise ValidationError(f"kind {self.kind!r} " + (
+                "needs a nonempty seed list" if seeded
+                else "reads no seed list; drop 'seeds'"))
 
     def resolved_parameters(self) -> dict:
         """Parameters cast and defaulted against the kind's schema."""
-        return _resolve_parameters(_SCHEMAS[self.kind], self.parameters,
+        return _resolve_parameters(_STUDIES[self.kind][1], self.parameters,
                                    f"kind {self.kind!r}")
 
     def spec_hash(self) -> str:
@@ -454,7 +351,7 @@ def _write_json(path: Path, obj) -> None:
 def run(spec: ExperimentSpec) -> RunManifest:
     """Execute one study: artifacts + summary under spec.output_dir."""
     params = spec.resolved_parameters()
-    runner = _RUNNERS[spec.kind]
+    runner, _ = _STUDIES[spec.kind]
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(spec_hash=spec.spec_hash(),
@@ -465,7 +362,8 @@ def run(spec: ExperimentSpec) -> RunManifest:
         # filters say; each distinct one is recorded once per run
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default", UserWarning)
-            result = runner(params, spec.seeds)
+            result = (runner(params, spec.seeds) if spec.seeds
+                      else runner(params))
     except ValidationError:
         raise
     except Exception as exc:
@@ -559,7 +457,7 @@ def _run_identity_suite(params, seeds):
     rows = []
     worst_bony = 0.0
     worst_part = 0.0
-    for seed in (seeds or range(100)):
+    for seed in seeds:
         rng = np.random.default_rng(seed)
         f = FourierField(rng.normal(size=n) + 1j * rng.normal(size=n), grid)
         g = FourierField(rng.normal(size=n) + 1j * rng.normal(size=n), grid)
@@ -613,21 +511,10 @@ def _run_identity_suite(params, seeds):
     }
 
 
-# --------------------------------------------------- study: covariance
+# ---------------------- studies: noise covariance, wick and tree moments
 
 
-def _run_covariance(params, seeds):
-    check = params["check"]
-    if check == "ou":
-        return _covariance_ou(params)
-    if check == "wick":
-        return _covariance_wick(params)
-    if check == "tree":
-        return _covariance_tree(params)
-    raise ValidationError(f"covariance check must be ou|wick|tree, got {check!r}")
-
-
-def _covariance_ou(params):
+def _run_ou_covariance(params):
     nodes = params["nodes"]
     dt = params["dt"]
     R = params["samples"]
@@ -678,8 +565,8 @@ _SIX_POINT_CASES = (
 )
 
 
-def _covariance_wick(params):
-    gamma = params["gammas"][0]
+def _run_wick_moments(params):
+    gamma = params["gamma"]
     grid = Grid(n_modes=params["n_modes"], gamma=gamma)
     dt = params["dt"]
     cfg = NoiseConfig(gamma=gamma, epsilon=0.0, seed=params["seed"],
@@ -746,7 +633,7 @@ def _covariance_wick(params):
     }
 
 
-def _covariance_tree(params):
+def _run_tree_moments(params):
     dt = params["dt"]
     burn = params["burn"]
     R = params["replicas"]
@@ -806,8 +693,6 @@ def _band_window_sups(modes, n_modes, js):
 
 
 def _run_regularity_ladder(params, seeds):
-    if not seeds:
-        raise ValidationError("regularity-ladder needs at least one seed")
     gamma = params["gamma"]
     n = params["n_modes"]
     grid = Grid(n_modes=n, gamma=gamma)
@@ -864,8 +749,6 @@ def _u0_field(values, grid) -> FourierField:
 
 
 def _run_eps_convergence(params, seeds):
-    if not seeds:
-        raise ValidationError("eps-convergence needs seeds")
     gamma = params["gamma"]
     grid = Grid(n_modes=params["n_modes"], gamma=gamma)
     configs = [NoiseConfig(gamma=gamma, epsilon=2.0 ** -m, seed=0,
@@ -922,29 +805,19 @@ def _run_eps_convergence(params, seeds):
     }
 
 
-# ------------------------------------------ study: solver consistency
+# ----------------------- studies: solver degeneration, reconstruction
 
 
 def _ct_norm(modes, grid, s):
     return float(np.max(sobolev_norms(modes, grid, s)))
 
 
-def _run_solver_consistency(params, seeds):
-    study = params["study"]
-    if study == "degeneration":
-        return _consistency_degeneration(params)
-    if study == "reconstruction":
-        return _consistency_reconstruction(params)
-    raise ValidationError(
-        f"study must be degeneration|reconstruction, got {study!r}")
-
-
-def _consistency_degeneration(params):
+def _run_solver_degeneration(params):
     gamma = params["gamma"]
     grid = Grid(n_modes=params["n_modes"], gamma=gamma)
     reg = RegularityParams(alpha=params["alpha"], b=params["b"])
     u0 = _u0_field(params["u0_modes"], grid)
-    cfg = NoiseConfig(gamma=gamma, epsilon=0.0, seed=params["seed"],
+    cfg = NoiseConfig(gamma=gamma, epsilon=0.0, seed=0,
                       dt=params["dt"], t_end=params["t_end"],
                       noise_scale=0.0)
     direct = solve_mollified(sample_Y(cfg, grid), u0)
@@ -956,7 +829,7 @@ def _consistency_degeneration(params):
 
     residuals = []
     for h in params["residual_dts"]:
-        c = NoiseConfig(gamma=gamma, epsilon=0.0, seed=params["seed"],
+        c = NoiseConfig(gamma=gamma, epsilon=0.0, seed=0,
                         dt=h, t_end=params["residual_t_end"],
                         noise_scale=0.0)
         traj = solve_mollified(sample_Y(c, grid), u0)
@@ -987,7 +860,7 @@ def _consistency_degeneration(params):
     }
 
 
-def _consistency_reconstruction(params):
+def _run_solver_reconstruction(params):
     gamma = params["gamma"]
     grid = Grid(n_modes=params["n_modes"], gamma=gamma)
     reg = RegularityParams(alpha=params["alpha"], b=params["b"])
@@ -1029,7 +902,7 @@ def _consistency_reconstruction(params):
 # --------------------------------------------- study: dependence probe
 
 
-def _run_dependence_probe(params, seeds):
+def _run_dependence_probe(params):
     gamma = params["gamma"]
     grid = Grid(n_modes=params["n_modes"], gamma=gamma)
     reg = RegularityParams(alpha=params["alpha"], b=params["b"])
@@ -1082,7 +955,7 @@ def _run_dependence_probe(params, seeds):
 # ------------------------------------------ study: tree algebra audit
 
 
-def _run_tree_algebra_audit(params, seeds):
+def _run_tree_algebra_audit(params):
     assertions = []
     floor_report = {}
     for alpha, b in params["pairs"]:
@@ -1116,17 +989,7 @@ def _run_tree_algebra_audit(params, seeds):
     }
 
 
-# --------------------------------------- study: appendix integrals
-
-
-def _run_appendix_integrals(params, seeds):
-    family = params["family"]
-    if family == "identities":
-        return _appendix_identities(params)
-    if family == "summability":
-        return _appendix_summability(params)
-    raise ValidationError(
-        f"family must be identities|summability, got {family!r}")
+# ------------------------ studies: kernel identities, mode summability
 
 
 @lru_cache(maxsize=1)
@@ -1171,7 +1034,7 @@ def _cross_quadrature(a, b, delta):
     return float((near + 2.0 * far) * tail)
 
 
-def _appendix_identities(params):
+def _run_kernel_identities(params):
     rng = np.random.default_rng(params["seed"])
     tol = params["tolerance"]
     rows = []
@@ -1242,7 +1105,7 @@ def _appendix_identities(params):
     }
 
 
-def _appendix_summability(params):
+def _run_mode_summability(params):
     K = params["K"]
     sup = uniform_cross_pair_sup(params["exponents"], K,
                                  range(1, params["a_max"] + 1))
@@ -1270,13 +1133,134 @@ def _appendix_summability(params):
     }
 
 
-_RUNNERS = {
-    "identity-suite": _run_identity_suite,
-    "covariance": _run_covariance,
-    "regularity-ladder": _run_regularity_ladder,
-    "eps-convergence": _run_eps_convergence,
-    "solver-consistency": _run_solver_consistency,
-    "dependence-probe": _run_dependence_probe,
-    "tree-algebra-audit": _run_tree_algebra_audit,
-    "appendix-integrals": _run_appendix_integrals,
+# Every study kind: (runner, schema), in the order of the shipped specs
+# c01..c12.  A schema maps each parameter its runner reads to (cast,
+# default), and a name outside it is refused before anything runs.
+_STUDIES = {
+    "identity-suite": (_run_identity_suite, {
+        "n_modes": (int, 256),
+        "tolerance": (float, 1e-12),
+        "smoothed_probes": (int, 3),
+        "smoothed_n_modes": (int, 64),
+        "smoothed_nodes": (int, 16),
+    }),
+    "kernel-identities": (_run_kernel_identities, {
+        "triples": (int, 50),
+        "tolerance": (float, 1e-8),
+        "seed": (int, 13),
+        "bound_draws": (int, 20),
+    }),
+    "ou-covariance": (_run_ou_covariance, {
+        "gammas": (_floats, (1.6, 2.0)),
+        "wavenumbers": (_ints, (1, 2, 4)),
+        "samples": (int, 10_000),
+        "n_modes": (int, 4),
+        "dt": (float, 0.05),
+        "nodes": (int, 5),
+        "se_factor": (float, 3.0),
+        "min_fraction": (float, 0.95),
+        "seed": (int, 7),
+        "purpose0": (int, 1000),
+    }),
+    "wick-moments": (_run_wick_moments, {
+        "gamma": (float, 1.6),
+        "samples": (int, 10_000),
+        "n_modes": (int, 4),
+        "dt": (float, 0.05),
+        "se_factor": (float, 3.0),
+        "seed": (int, 7),
+        "purpose0": (int, 1000),
+    }),
+    "tree-moments": (_run_tree_moments, {
+        "gammas": (_floats, (1.6, 2.0)),
+        "wavenumbers": (_ints, (1, 2, 4)),
+        "replicas": (int, 4000),
+        "n_modes": (int, 4),
+        "dt": (float, 0.05),
+        "burn": (float, 7.0),
+        "se_factor": (float, 3.0),
+        "seed": (int, 7),
+        "purpose0": (int, 1000),
+    }),
+    "regularity-ladder": (_run_regularity_ladder, {
+        "gamma": (float, 1.75),
+        "n_modes": (int, 1024),
+        "dt": (float, 5e-5),
+        "t_end": (float, 0.15),
+        "j_lo": (int, 3),
+        "j_hi": (int, 8),
+        "floor_n": (float, -0.35),
+        "floor_lr": (float, -0.10),
+        "floor_rLlr": (float, 0.15),
+    }),
+    "mode-summability": (_run_mode_summability, {
+        "K": (int, 4096),
+        "a_max": (int, 2048),
+        "exponents": (_floats, (0.6, 0.5)),
+        "ratio_bound": (float, 2.0),
+        "gamma_convergent": (float, 1.6),
+        "gamma_divergent": (float, 1.2),
+        "a_prime": (float, 0.05),
+    }),
+    "tree-algebra-audit": (_run_tree_algebra_audit, {
+        "max_leaves": (int, 8),
+        "pairs": (_pairs, ((-0.24, 0.5), (-0.2, 0.5), (-0.1, 0.6))),
+        "listing_alpha": (float, -0.2),
+        "listing_b": (float, 0.5),
+    }),
+    "solver-degeneration": (_run_solver_degeneration, {
+        "gamma": (float, 2.0),
+        "n_modes": (int, 16),
+        "dt": (float, 1e-3),
+        "t_end": (float, 0.1),
+        "alpha": (float, -0.2),
+        "b": (float, 0.5),
+        "u0_modes": (_complexes, (0.08 - 0.02j, 0.03 + 0.01j, -0.015j)),
+        "solve_tol": (float, 1e-12),
+        "match_tol": (float, 1e-8),
+        "residual_dts": (_floats, (4e-3, 2e-3, 1e-3, 5e-4)),
+        "residual_t_end": (float, 0.2),
+        "order_center": (float, 2.0),
+        "order_window": (float, 0.3),
+    }),
+    "solver-reconstruction": (_run_solver_reconstruction, {
+        "gamma": (float, 2.0),
+        "n_modes": (int, 16),
+        "dt": (float, 1e-3),
+        "t_end": (float, 0.1),
+        "epsilon": (float, 0.0),
+        "seed": (int, 0),
+        "alpha": (float, -0.2),
+        "b": (float, 0.5),
+        "u0_modes": (_complexes, (0.08 - 0.02j, 0.03 + 0.01j, -0.015j)),
+        "solve_tol": (float, 1e-12),
+        "exponent": (float, -0.3),
+        "rel_bound": (float, 0.05),
+    }),
+    "eps-convergence": (_run_eps_convergence, {
+        "gamma": (float, 1.75),
+        "n_modes": (int, 32),
+        "dt": (float, 1e-3),
+        "t_end": (float, 1.0),
+        "levels": (_ints, (2, 3, 4, 5)),    # epsilon = 2^-level
+        "exponent": (float, -0.3),
+        "u0_modes": (_complexes, (0.05 - 0.01j, 0.02j)),
+    }),
+    "dependence-probe": (_run_dependence_probe, {
+        "gamma": (float, 1.75),
+        "n_modes": (int, 64),
+        "epsilon": (float, 0.125),
+        "seed": (int, 11),
+        "dt": (float, 1e-3),
+        "t_end": (float, 0.25),
+        "alpha": (float, -0.2),
+        "b": (float, 0.5),
+        "u0_modes": (_complexes, (0.05 - 0.01j, 0.02j)),
+        "sizes": (_floats, (1e-1, 1e-2, 1e-3, 1e-4)),
+        "tol": (float, 1e-9),
+        "slope_center": (float, 1.0),
+        "slope_window": (float, 0.15),
+        "envelope_slack": (float, 1e-6),
+        "ml_tolerance": (float, 1e-12),
+    }),
 }

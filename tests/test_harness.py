@@ -3,6 +3,7 @@ import ast
 import dataclasses
 import json
 import hashlib
+import inspect
 import math
 import os
 import subprocess
@@ -20,8 +21,7 @@ from gfsb.kernels import exp_cross_integral
 from gfsb.harness import (
     ExperimentSpec,
     RunManifest,
-    _RUNNERS,
-    _SCHEMAS,
+    _STUDIES,
     _cross_quadrature,
     _double_exponential_rule,
     _parse_seed_list,
@@ -42,7 +42,6 @@ AUDIT_SPEC = """\
 [experiment]
 name = audit-check
 kind = tree-algebra-audit
-seeds = 0
 output = {out}
 
 [parameters]
@@ -73,7 +72,7 @@ def test_load_spec_round_trip(tmp_path):
     spec = load_spec(path)
     assert spec.name == "audit-check"
     assert spec.kind == "tree-algebra-audit"
-    assert spec.seeds == (0,)
+    assert spec.seeds == ()
     assert spec.output_dir == tmp_path / "audit-check"
     assert spec.resolved_parameters()["max_leaves"] == 6
     # hash depends only on declared content, not on the output location
@@ -83,16 +82,14 @@ def test_load_spec_round_trip(tmp_path):
 
 def test_spec_hash_reads_resolved_parameters(tmp_path):
     def spec(**params):
-        return ExperimentSpec(name="a", kind="appendix-integrals",
-                              parameters=params, seeds=(0,),
+        return ExperimentSpec(name="a", kind="kernel-identities",
+                              parameters=params, seeds=(),
                               output_dir=tmp_path)
 
-    implicit = spec(family="identities")
-    written = spec(family="identities", triples="50", tolerance="1e-08",
-                   exponents="0.6, 0.5")
+    implicit = spec()
+    written = spec(triples="50", tolerance="1e-08", bound_draws="20")
     assert written.spec_hash() == implicit.spec_hash()
-    assert spec(family="identities", triples="49").spec_hash() \
-        != implicit.spec_hash()
+    assert spec(triples="49").spec_hash() != implicit.spec_hash()
 
 
 def test_manifest_records_source_digest(tmp_path):
@@ -123,14 +120,50 @@ def test_spec_validation_rejects_bad_input(tmp_path):
                           output_dir=tmp_path)
     with pytest.raises(ValidationError):
         spec.resolved_parameters()
-    spec = ExperimentSpec(name="a", kind="covariance", parameters={},
-                          seeds=(0,), output_dir=tmp_path)
-    with pytest.raises(ValidationError):   # check= is required
-        spec.resolved_parameters()
 
 
-def test_every_study_kind_has_a_schema_and_a_runner():
-    assert set(_SCHEMAS) == set(_RUNNERS)
+@pytest.mark.parametrize("kind", sorted(_STUDIES))
+def test_every_schema_key_is_read_by_its_runner(kind):
+    """A schema lists exactly the constant keys its runner subscripts on
+    ``params`` (nested functions and f-strings included), so a key that
+    does nothing is refused, not resolved, hashed and ignored; and a
+    runner takes the seed list only when it uses it."""
+    runner, schema = _STUDIES[kind]
+    tree = ast.parse(inspect.getsource(runner))
+    read = {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name) and node.value.id == "params"
+            and isinstance(node.slice, ast.Constant)}
+    assert read == set(schema)
+    args = [arg.arg for arg in tree.body[0].args.args]
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert args in (["params"], ["params", "seeds"])
+    assert ("seeds" in names) == (len(args) == 2)
+
+
+@pytest.mark.parametrize("stem, old, new", [
+    ("c09-solver-degeneration", "[parameters]",
+     "[parameters]\nepsilon = 0.5"),
+    ("c10-solver-reconstruction", "[parameters]",
+     "[parameters]\nmatch_tol = 5"),
+    ("c04-gaussian-moments", "[parameters]", "[parameters]\nreplicas = 7"),
+    ("c02-kernel-identities", "[parameters]", "[parameters]\nK = 7"),
+    ("c07-mode-summability", "[parameters]", "[parameters]\ntriples = 5"),
+    ("c10-solver-reconstruction", "[experiment]",
+     "[experiment]\nseeds = 0:8"),
+    ("c06-regularity-ladder", "seeds = 0:64\n", ""),
+    ("c04-gaussian-moments", "gamma = 1.6", "gamma = 1.6, 2.0"),
+], ids=["c09-epsilon", "c10-match_tol", "c04-replicas", "c02-K",
+        "c07-triples", "c10-seeds", "c06-no-seeds", "c04-two-gammas"])
+def test_load_spec_refuses_what_the_study_would_not_read(
+        tmp_path, stem, old, new):
+    """Keys, seed lists and values the study would not read, written
+    into a shipped spec that loads as it stands."""
+    text = (EXPERIMENTS / f"{stem}.spec").read_text()
+    assert text.count(old) == 1
+    load_spec(_write_spec(tmp_path, text))
+    with pytest.raises(ValidationError):
+        load_spec(_write_spec(tmp_path, text.replace(old, new)))
 
 
 def test_thread_count_env(monkeypatch):
@@ -260,16 +293,18 @@ def _artifact_hashes(manifest):
 
 
 def test_reruns_are_bit_exact_across_parallelism(tmp_path, monkeypatch):
+    """regularity-ladder is the one kind that spreads its seeds over the
+    GFSB_THREADS pool, so it is the one a reordering there would move."""
     def once(tag, threads):
         monkeypatch.setenv("GFSB_THREADS", threads)
-        spec = ExperimentSpec(name="ids", kind="identity-suite",
-                              parameters={"n_modes": "64",
-                                          "smoothed_probes": "1"},
-                              seeds=tuple(range(4)),
+        spec = ExperimentSpec(name="lad", kind="regularity-ladder",
+                              parameters={"n_modes": "128", "dt": "5e-4",
+                                          "t_end": "0.05", "j_hi": "6"},
+                              seeds=tuple(range(3)),
                               output_dir=tmp_path / tag)
         return _artifact_hashes(run(spec))
 
-    assert once("serial", "1") == once("parallel", "3")
+    assert once("serial", "1") == once("parallel", "2")
 
 
 def test_failing_assertion_is_reported_not_raised(tmp_path):
@@ -300,10 +335,11 @@ def test_runner_error_becomes_task_failure(tmp_path):
 
 
 def test_failure_manifest_names_the_exception(tmp_path, monkeypatch):
-    def boom(params, seeds):
+    def boom(params):
         raise RuntimeError("slab 3 diverged")
 
-    monkeypatch.setitem(_RUNNERS, "tree-algebra-audit", boom)
+    _, schema = _STUDIES["tree-algebra-audit"]
+    monkeypatch.setitem(_STUDIES, "tree-algebra-audit", (boom, schema))
     spec = load_spec(_write_spec(tmp_path, AUDIT_SPEC.format(out=tmp_path)))
     with pytest.raises(TaskFailure):
         run(spec)
@@ -345,10 +381,9 @@ def test_more_u0_values_than_modes_is_a_validation_error(tmp_path):
 
 
 def test_summability_cutoff_below_64_is_refused(tmp_path):
-    spec = ExperimentSpec(name="sum", kind="appendix-integrals",
-                          parameters={"family": "summability", "K": "32",
-                                      "a_max": "4"},
-                          seeds=(0,), output_dir=tmp_path / "sum")
+    spec = ExperimentSpec(name="sum", kind="mode-summability",
+                          parameters={"K": "32", "a_max": "4"},
+                          seeds=(), output_dir=tmp_path / "sum")
     with pytest.raises(TaskFailure, match="cutoff must be >= 64"):
         run(spec)
 
@@ -600,3 +635,17 @@ def test_cli_check_covariance_quick(tmp_path):
                "--out", str(tmp_path)])
     assert result.exit_code == 0, result.output
     assert "wick-pairing-structure" in result.output
+
+    result = CliRunner().invoke(
+        main, ["check-covariance", "--check", "tree", "--replicas", "200",
+               "--gammas", "2.0", "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert "tree-moment-g2-k4" in result.output
+    assert "g1.6" not in result.output
+
+    # the wick check reads one exponent: a list is refused, not cut short
+    result = CliRunner().invoke(
+        main, ["check-covariance", "--check", "wick", "--gammas", "1.6,2.0",
+               "--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert "parameter 'gamma'" in result.output
