@@ -1,4 +1,6 @@
-"""Command-line front end: quick checks, solves, and full study runs.
+"""Command-line front end: the symbol algebra, tree samples, solves, and
+study runs.  ``gfsb run SPEC`` is the one way to run a study; to run one
+at another size, run an edited copy of its spec.
 
 Exit codes: 0 all checks passed, 1 at least one assertion failed,
 2 bad input or a study that errored mid-flight.  GFSB_THREADS caps the
@@ -16,7 +18,6 @@ import click
 from . import __version__
 from .errors import GFSBError, TaskFailure, ValidationError
 from .harness import (
-    ExperimentSpec,
     _complexes,
     _resolve_parameters,
     _u0_field,
@@ -50,23 +51,6 @@ def _echo_assertions(manifest) -> bool:
                    f"bound={a['bound']}")
         ok &= a["passed"]
     return ok
-
-
-def _run_adhoc(name, kind, parameters, seeds, out) -> None:
-    """Build an in-memory spec, run it, report, and set the exit code."""
-    try:
-        spec = ExperimentSpec(name=name, kind=kind, parameters=parameters,
-                              seeds=tuple(seeds), output_dir=Path(out) / name)
-        manifest = run(spec)
-    except ValidationError as exc:
-        raise click.UsageError(str(exc))
-    except TaskFailure as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    ok = _echo_assertions(manifest)
-    click.echo(f"artifacts under {spec.output_dir}")
-    if not ok:
-        sys.exit(1)
 
 
 @click.group()
@@ -151,53 +135,15 @@ def sample_tree(symbol, gamma, epsilon, n_modes, dt, t_end, seed, stride, out):
                f"({1 + (len(tree) - 1) // stride} snapshots)")
 
 
-# -------------------------------------------------------- quick checkers
-
-
-@main.command("check-covariance")
-@click.option("--check", type=click.Choice(["ou", "wick", "tree"]),
-              default="ou", show_default=True)
-@click.option("--samples", default=2000, show_default=True,
-              help="Monte-Carlo replicas (ou and wick checks).")
-@click.option("--replicas", default=1000, show_default=True,
-              help="Monte-Carlo replicas (tree check).")
-@click.option("--gammas", default=None,
-              help="Comma list; wick takes one.  Unset: the check's default.")
-@click.option("--out", type=click.Path(), default="runs", show_default=True)
-def check_covariance(check, samples, replicas, gammas, out):
-    """Empirical second/higher moments against their closed forms."""
-    kind = {"ou": "ou-covariance", "wick": "wick-moments",
-            "tree": "tree-moments"}[check]
-    params = ({"replicas": str(replicas)} if check == "tree"
-              else {"samples": str(samples)})
-    if gammas is not None:
-        params["gamma" if check == "wick" else "gammas"] = gammas
-    _run_adhoc(f"check-{check}", kind, params, (), out)
-
-
-@main.command("verify-identities")
-@click.option("--n-modes", default=256, show_default=True)
-@click.option("--fields", default=20, show_default=True,
-              help="Number of random field pairs.")
-@click.option("--out", type=click.Path(), default="runs", show_default=True)
-def verify_identities(n_modes, fields, out):
-    """Exact decomposition identities on random fields."""
-    _run_adhoc("verify-identities", "identity-suite",
-               {"n_modes": str(n_modes)}, tuple(range(fields)), out)
-
-
 # ------------------------------------------------------------------ solve
 
 
-# name -> (cast, default), resolved like a study spec's parameters
+# name -> cast, resolved like a study spec's parameters
 _SOLVE_SCHEMA = {
-    "gamma": (float, 1.75), "beta": (float, 0.5), "epsilon": (float, 0.0),
-    "n_modes": (int, 64), "dt": (float, 1e-3), "t_end": (float, 0.1),
-    "seed": (int, 0), "tol": (float, 1e-9), "alpha": (float, -0.2),
-    "b": (float, 0.5), "noise_scale": (float, 1.0),
-    "u0_modes": (_complexes, ()),
-    **{f"coeff_{key}": (float, value) for key, value
-       in CoefficientMap.standard().entries.items()},
+    "gamma": float, "beta": float, "epsilon": float, "n_modes": int,
+    "dt": float, "t_end": float, "seed": int, "tol": float, "alpha": float,
+    "b": float, "noise_scale": float, "u0_modes": _complexes,
+    **{f"coeff_{key}": float for key in CoefficientMap.standard().entries},
 }
 
 
@@ -281,28 +227,6 @@ def solve(mode, config_path, stride, out):
     diag_path.write_text(json.dumps(diagnostics, indent=2, sort_keys=True,
                                     default=float) + "\n")
     click.echo(f"wrote {out_dir}/manifest.json and diagnostics.json")
-
-
-# ----------------------------------------------------------- converge-eps
-
-
-@main.command("converge-eps")
-@click.option("--gamma", default=1.75, show_default=True)
-@click.option("--n-modes", default=32, show_default=True)
-@click.option("--dt", default=1e-3, show_default=True)
-@click.option("--t-end", default=1.0, show_default=True)
-@click.option("--levels", default="2,3,4,5", show_default=True,
-              help="Mollifier widths 2^-level, coarsest first.")
-@click.option("--seeds", default="0:8", show_default=True,
-              help="Comma list and/or lo:hi ranges.")
-@click.option("--out", type=click.Path(), default="runs", show_default=True)
-def converge_eps(gamma, n_modes, dt, t_end, levels, seeds, out):
-    """Cauchy differences of coupled solves down a mollification ladder."""
-    from .harness import _parse_seed_list
-    _run_adhoc("converge-eps", "eps-convergence",
-               {"gamma": str(gamma), "n_modes": str(n_modes),
-                "dt": str(dt), "t_end": str(t_end), "levels": levels},
-               _parse_seed_list(seeds), out)
 
 
 # -------------------------------------------------------------------- run

@@ -1,14 +1,15 @@
 """Experiment orchestration: key=value study specs in, artifacts out.
 
 A study lives in a small text file with one metadata section and one
-parameter section.  Each kind has its own schema, listing exactly the
-parameters its study reads; the three kinds that loop over seeds take a
-seed list, and every other kind draws from its ``seed`` parameter or from
-nothing.  Running a spec writes CSV/JSON artifacts atomically
-(write-temp-then-rename) and returns a manifest.  Identical specs
-reproduce the numeric artifacts byte for byte; only regularity-ladder
-spreads its seeds over the GFSB_THREADS workers, and its artifacts do not
-depend on how many there are.
+parameter section.  Each kind has its own schema, mapping exactly the
+parameters its study reads to their types; the spec writes every one of
+them, so the file holds all of a study's numbers.  The three kinds that
+loop over seeds take a seed list, and every other kind draws from its
+``seed`` parameter or from nothing.  Running a spec writes CSV/JSON
+artifacts atomically (write-temp-then-rename) and returns a manifest.
+Identical specs reproduce the numeric artifacts byte for byte; only
+regularity-ladder spreads its seeds over the GFSB_THREADS workers, and
+its artifacts do not depend on how many there are.
 """
 from __future__ import annotations
 
@@ -149,27 +150,29 @@ def _pairs(text: str):
 
 
 def _resolve_parameters(schema: dict, parameters: dict, owner: str) -> dict:
-    """Cast string values and fill defaults against ``schema`` (name ->
-    (cast, default)); unknown names and unreadable values raise
-    ValidationError."""
+    """Cast the string values against ``schema`` (name -> cast); a name
+    outside it, a name it lists that ``parameters`` lacks, or an
+    unreadable value raises ValidationError."""
     out = {}
     for key, raw in parameters.items():
         if key not in schema:
             raise ValidationError(f"unknown parameter {key!r} for {owner}")
-        cast, _ = schema[key]
         try:
-            out[key] = cast(raw) if isinstance(raw, str) else raw
+            out[key] = schema[key](raw)
         except (ValueError, TypeError) as exc:
             raise ValidationError(
                 f"parameter {key!r}: cannot read {raw!r}") from exc
-    for key, (_, default) in schema.items():
-        out.setdefault(key, default)
+    missing = [key for key in schema if key not in out]
+    if missing:
+        raise ValidationError(f"{owner} needs parameter "
+                              f"{', '.join(map(repr, missing))}")
     return out
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One study: what to run, with which knobs, on which seeds."""
+    """One study: its kind, every parameter the kind reads (as the raw
+    strings of the spec file), and its seed list."""
 
     name: str
     kind: str
@@ -192,13 +195,14 @@ class ExperimentSpec:
                 else "reads no seed list; drop 'seeds'"))
 
     def resolved_parameters(self) -> dict:
-        """Parameters cast and defaulted against the kind's schema."""
+        """Parameters cast against the kind's schema."""
         return _resolve_parameters(_STUDIES[self.kind][1], self.parameters,
                                    f"kind {self.kind!r}")
 
     def spec_hash(self) -> str:
-        """Hash of what the study runs: a value written out equal to its
-        default hashes the same as the default left implicit."""
+        """Hash of what the study runs, read from the resolved
+        parameters: two spellings of one value (1e-08, 1.0e-8) hash the
+        same."""
         params = self.resolved_parameters()
         payload = json.dumps(
             {"name": self.name, "kind": self.kind,
@@ -525,7 +529,7 @@ def _run_ou_covariance(params):
         grid = Grid(n_modes=params["n_modes"], gamma=gamma)
         cfg = NoiseConfig(gamma=gamma, epsilon=0.0, seed=params["seed"],
                           dt=dt, t_end=dt * (nodes - 1))
-        ens = sample_Y_ensemble(cfg, grid, R, base_purpose=params["purpose0"])
+        ens = sample_Y_ensemble(cfg, grid, range(R))
         passed = 0
         total = 0
         for k in params["wavenumbers"]:
@@ -573,7 +577,7 @@ def _run_wick_moments(params):
                       dt=dt, t_end=dt)
     R = params["samples"]
     se_factor = params["se_factor"]
-    ens = sample_Y_ensemble(cfg, grid, R, base_purpose=params["purpose0"])[:, 0, :]
+    ens = sample_Y_ensemble(cfg, grid, range(R))[:, 0, :]
     cov = ou_pair_covariance(cfg)
 
     prod4 = np.real(ens[:, 0] * np.conj(ens[:, 0])
@@ -650,8 +654,7 @@ def _run_tree_moments(params):
         done = 0
         while done < R:
             span = min(500, R - done)
-            y = sample_Y_ensemble(cfg, grid, span,
-                                  base_purpose=params["purpose0"] + done)
+            y = sample_Y_ensemble(cfg, grid, range(done, done + span))
             g = bilinear_forcing(y, y, grid)
             f = duhamel_scan(g, decay, weight, init=g[:, 0, :] / rates)
             ends[done:done + span] = f[:, -1, :]
@@ -1134,133 +1137,131 @@ def _run_mode_summability(params):
 
 
 # Every study kind: (runner, schema), in the order of the shipped specs
-# c01..c12.  A schema maps each parameter its runner reads to (cast,
-# default), and a name outside it is refused before anything runs.
+# c01..c12.  A schema maps each parameter its runner reads to its cast;
+# a spec must write every one of them and nothing else, which is checked
+# before anything runs.
 _STUDIES = {
     "identity-suite": (_run_identity_suite, {
-        "n_modes": (int, 256),
-        "tolerance": (float, 1e-12),
-        "smoothed_probes": (int, 3),
-        "smoothed_n_modes": (int, 64),
-        "smoothed_nodes": (int, 16),
+        "n_modes": int,
+        "tolerance": float,
+        "smoothed_probes": int,
+        "smoothed_n_modes": int,
+        "smoothed_nodes": int,
     }),
     "kernel-identities": (_run_kernel_identities, {
-        "triples": (int, 50),
-        "tolerance": (float, 1e-8),
-        "seed": (int, 13),
-        "bound_draws": (int, 20),
+        "triples": int,
+        "tolerance": float,
+        "seed": int,
+        "bound_draws": int,
     }),
     "ou-covariance": (_run_ou_covariance, {
-        "gammas": (_floats, (1.6, 2.0)),
-        "wavenumbers": (_ints, (1, 2, 4)),
-        "samples": (int, 10_000),
-        "n_modes": (int, 4),
-        "dt": (float, 0.05),
-        "nodes": (int, 5),
-        "se_factor": (float, 3.0),
-        "min_fraction": (float, 0.95),
-        "seed": (int, 7),
-        "purpose0": (int, 1000),
+        "gammas": _floats,
+        "wavenumbers": _ints,
+        "samples": int,
+        "n_modes": int,
+        "dt": float,
+        "nodes": int,
+        "se_factor": float,
+        "min_fraction": float,
+        "seed": int,
     }),
     "wick-moments": (_run_wick_moments, {
-        "gamma": (float, 1.6),
-        "samples": (int, 10_000),
-        "n_modes": (int, 4),
-        "dt": (float, 0.05),
-        "se_factor": (float, 3.0),
-        "seed": (int, 7),
-        "purpose0": (int, 1000),
+        "gamma": float,
+        "samples": int,
+        "n_modes": int,
+        "dt": float,
+        "se_factor": float,
+        "seed": int,
     }),
     "tree-moments": (_run_tree_moments, {
-        "gammas": (_floats, (1.6, 2.0)),
-        "wavenumbers": (_ints, (1, 2, 4)),
-        "replicas": (int, 4000),
-        "n_modes": (int, 4),
-        "dt": (float, 0.05),
-        "burn": (float, 7.0),
-        "se_factor": (float, 3.0),
-        "seed": (int, 7),
-        "purpose0": (int, 1000),
+        "gammas": _floats,
+        "wavenumbers": _ints,
+        "replicas": int,
+        "n_modes": int,
+        "dt": float,
+        "burn": float,
+        "se_factor": float,
+        "seed": int,
     }),
     "regularity-ladder": (_run_regularity_ladder, {
-        "gamma": (float, 1.75),
-        "n_modes": (int, 1024),
-        "dt": (float, 5e-5),
-        "t_end": (float, 0.15),
-        "j_lo": (int, 3),
-        "j_hi": (int, 8),
-        "floor_n": (float, -0.35),
-        "floor_lr": (float, -0.10),
-        "floor_rLlr": (float, 0.15),
+        "gamma": float,
+        "n_modes": int,
+        "dt": float,
+        "t_end": float,
+        "j_lo": int,
+        "j_hi": int,
+        "floor_n": float,
+        "floor_lr": float,
+        "floor_rLlr": float,
     }),
     "mode-summability": (_run_mode_summability, {
-        "K": (int, 4096),
-        "a_max": (int, 2048),
-        "exponents": (_floats, (0.6, 0.5)),
-        "ratio_bound": (float, 2.0),
-        "gamma_convergent": (float, 1.6),
-        "gamma_divergent": (float, 1.2),
-        "a_prime": (float, 0.05),
+        "K": int,
+        "a_max": int,
+        "exponents": _floats,
+        "ratio_bound": float,
+        "gamma_convergent": float,
+        "gamma_divergent": float,
+        "a_prime": float,
     }),
     "tree-algebra-audit": (_run_tree_algebra_audit, {
-        "max_leaves": (int, 8),
-        "pairs": (_pairs, ((-0.24, 0.5), (-0.2, 0.5), (-0.1, 0.6))),
-        "listing_alpha": (float, -0.2),
-        "listing_b": (float, 0.5),
+        "max_leaves": int,
+        "pairs": _pairs,
+        "listing_alpha": float,
+        "listing_b": float,
     }),
     "solver-degeneration": (_run_solver_degeneration, {
-        "gamma": (float, 2.0),
-        "n_modes": (int, 16),
-        "dt": (float, 1e-3),
-        "t_end": (float, 0.1),
-        "alpha": (float, -0.2),
-        "b": (float, 0.5),
-        "u0_modes": (_complexes, (0.08 - 0.02j, 0.03 + 0.01j, -0.015j)),
-        "solve_tol": (float, 1e-12),
-        "match_tol": (float, 1e-8),
-        "residual_dts": (_floats, (4e-3, 2e-3, 1e-3, 5e-4)),
-        "residual_t_end": (float, 0.2),
-        "order_center": (float, 2.0),
-        "order_window": (float, 0.3),
+        "gamma": float,
+        "n_modes": int,
+        "dt": float,
+        "t_end": float,
+        "alpha": float,
+        "b": float,
+        "u0_modes": _complexes,
+        "solve_tol": float,
+        "match_tol": float,
+        "residual_dts": _floats,
+        "residual_t_end": float,
+        "order_center": float,
+        "order_window": float,
     }),
     "solver-reconstruction": (_run_solver_reconstruction, {
-        "gamma": (float, 2.0),
-        "n_modes": (int, 16),
-        "dt": (float, 1e-3),
-        "t_end": (float, 0.1),
-        "epsilon": (float, 0.0),
-        "seed": (int, 0),
-        "alpha": (float, -0.2),
-        "b": (float, 0.5),
-        "u0_modes": (_complexes, (0.08 - 0.02j, 0.03 + 0.01j, -0.015j)),
-        "solve_tol": (float, 1e-12),
-        "exponent": (float, -0.3),
-        "rel_bound": (float, 0.05),
+        "gamma": float,
+        "n_modes": int,
+        "dt": float,
+        "t_end": float,
+        "epsilon": float,
+        "seed": int,
+        "alpha": float,
+        "b": float,
+        "u0_modes": _complexes,
+        "solve_tol": float,
+        "exponent": float,
+        "rel_bound": float,
     }),
     "eps-convergence": (_run_eps_convergence, {
-        "gamma": (float, 1.75),
-        "n_modes": (int, 32),
-        "dt": (float, 1e-3),
-        "t_end": (float, 1.0),
-        "levels": (_ints, (2, 3, 4, 5)),    # epsilon = 2^-level
-        "exponent": (float, -0.3),
-        "u0_modes": (_complexes, (0.05 - 0.01j, 0.02j)),
+        "gamma": float,
+        "n_modes": int,
+        "dt": float,
+        "t_end": float,
+        "levels": _ints,
+        "exponent": float,
+        "u0_modes": _complexes,
     }),
     "dependence-probe": (_run_dependence_probe, {
-        "gamma": (float, 1.75),
-        "n_modes": (int, 64),
-        "epsilon": (float, 0.125),
-        "seed": (int, 11),
-        "dt": (float, 1e-3),
-        "t_end": (float, 0.25),
-        "alpha": (float, -0.2),
-        "b": (float, 0.5),
-        "u0_modes": (_complexes, (0.05 - 0.01j, 0.02j)),
-        "sizes": (_floats, (1e-1, 1e-2, 1e-3, 1e-4)),
-        "tol": (float, 1e-9),
-        "slope_center": (float, 1.0),
-        "slope_window": (float, 0.15),
-        "envelope_slack": (float, 1e-6),
-        "ml_tolerance": (float, 1e-12),
+        "gamma": float,
+        "n_modes": int,
+        "epsilon": float,
+        "seed": int,
+        "dt": float,
+        "t_end": float,
+        "alpha": float,
+        "b": float,
+        "u0_modes": _complexes,
+        "sizes": _floats,
+        "tol": float,
+        "slope_center": float,
+        "slope_window": float,
+        "envelope_slack": float,
+        "ml_tolerance": float,
     }),
 }

@@ -141,16 +141,17 @@ def sample_Y(config: NoiseConfig, grid: Grid) -> Trajectory:
                       meta={"kind": "stationary", "seed": config.seed})
 
 
-def sample_Y_ensemble(config: NoiseConfig, grid: Grid, n_replicas: int,
-                      base_purpose: int = 1000) -> np.ndarray:
-    """(R, T+1, N) mode array; replica r uses purpose base_purpose + r,
-    so any subset can be regenerated independently."""
+def sample_Y_ensemble(config: NoiseConfig, grid: Grid,
+                      replicas: range) -> np.ndarray:
+    """(R, T+1, N) mode array, one row per replica index in ``replicas``;
+    replica r draws from the (seed, 1000 + r) stream, so any subset can
+    be regenerated independently."""
     check_grid(config, grid)
     shape = (config.n_steps + 1, grid.n_modes, 2)
-    out = np.empty((n_replicas,) + shape[:-1], dtype=np.complex128)
-    for r in range(n_replicas):
-        z = _normals(config.seed, base_purpose + r, shape)
-        out[r] = _ou_path(config, grid, z)
+    out = np.empty((len(replicas),) + shape[:-1], dtype=np.complex128)
+    for i, r in enumerate(replicas):
+        z = _normals(config.seed, 1000 + r, shape)
+        out[i] = _ou_path(config, grid, z)
     return out
 
 

@@ -6,6 +6,7 @@ import hashlib
 import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,21 +39,38 @@ ROOT = Path(__file__).resolve().parent.parent
 EXPERIMENTS = ROOT / "experiments"
 
 
-AUDIT_SPEC = """\
-[experiment]
-name = audit-check
-kind = tree-algebra-audit
-output = {out}
-
-[parameters]
-max_leaves = 6
-"""
-
-
 def _write_spec(tmp_path, text):
     path = tmp_path / "study.spec"
     path.write_text(text)
     return path
+
+
+def _shipped(stem, output_dir, seeds=None, **parameters):
+    """The shipped spec ``stem`` with some of its parameters (and its
+    seed list) overridden through dataclasses.replace, the call
+    perfbench/workloads.load makes; every other key keeps the spec's
+    value."""
+    spec = load_spec(EXPERIMENTS / f"{stem}.spec", output_dir=output_dir)
+    return dataclasses.replace(
+        spec, parameters={**spec.parameters, **parameters},
+        seeds=spec.seeds if seeds is None else tuple(seeds))
+
+
+def _audit(out):
+    """c08 at max_leaves = 6, named audit-check, writing to out/audit-check."""
+    return dataclasses.replace(
+        _shipped("c08-symbol-algebra", out / "audit-check", max_leaves="6"),
+        name="audit-check")
+
+
+def _spec_text(spec):
+    """``spec`` as a spec file whose ``output`` is its output_dir's parent."""
+    seeds = ", ".join(map(str, spec.seeds))
+    return "".join([
+        f"[experiment]\nname = {spec.name}\nkind = {spec.kind}\n",
+        f"seeds = {seeds}\n" if seeds else "",
+        f"output = {spec.output_dir.parent}\n\n[parameters]\n",
+        *(f"{key} = {value}\n" for key, value in spec.parameters.items())])
 
 
 # ------------------------------------------------------------- spec files
@@ -68,8 +86,9 @@ def test_seed_list_accepts_ranges_and_commas():
 
 
 def test_load_spec_round_trip(tmp_path):
-    path = _write_spec(tmp_path, AUDIT_SPEC.format(out=tmp_path))
+    path = _write_spec(tmp_path, _spec_text(_audit(tmp_path)))
     spec = load_spec(path)
+    assert spec == _audit(tmp_path)
     assert spec.name == "audit-check"
     assert spec.kind == "tree-algebra-audit"
     assert spec.seeds == ()
@@ -81,15 +100,12 @@ def test_load_spec_round_trip(tmp_path):
 
 
 def test_spec_hash_reads_resolved_parameters(tmp_path):
-    def spec(**params):
-        return ExperimentSpec(name="a", kind="kernel-identities",
-                              parameters=params, seeds=(),
-                              output_dir=tmp_path)
+    """Two spellings of one value hash the same; another value does not."""
+    def spec(tolerance):
+        return _shipped("c02-kernel-identities", tmp_path, tolerance=tolerance)
 
-    implicit = spec()
-    written = spec(triples="50", tolerance="1e-08", bound_draws="20")
-    assert written.spec_hash() == implicit.spec_hash()
-    assert spec(triples="49").spec_hash() != implicit.spec_hash()
+    assert spec("1e-08").spec_hash() == spec("1.0e-8").spec_hash()
+    assert spec("1e-07").spec_hash() != spec("1e-08").spec_hash()
 
 
 def test_manifest_records_source_digest(tmp_path):
@@ -99,8 +115,7 @@ def test_manifest_records_source_digest(tmp_path):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     assert code_version() == digest.hexdigest()
     assert code_version() is code_version()     # computed once
-    manifest = run(load_spec(_write_spec(tmp_path,
-                                         AUDIT_SPEC.format(out=tmp_path))))
+    manifest = run(_audit(tmp_path))
     assert manifest.code_version == digest.hexdigest()
 
 
@@ -164,6 +179,26 @@ def test_load_spec_refuses_what_the_study_would_not_read(
     load_spec(_write_spec(tmp_path, text))
     with pytest.raises(ValidationError):
         load_spec(_write_spec(tmp_path, text.replace(old, new)))
+
+
+def _parameter_lines():
+    """(stem, line) for every parameter line of every shipped spec."""
+    for path in sorted(EXPERIMENTS.glob("*.spec")):
+        _, section = path.read_text().split("[parameters]\n")
+        for line in filter(str.strip, section.splitlines()):
+            key = line.split("=")[0].strip()
+            yield pytest.param(path.stem, line, id=f"{path.stem[:3]}-{key}")
+
+
+@pytest.mark.parametrize("stem, line", _parameter_lines())
+def test_load_spec_refuses_a_missing_parameter(tmp_path, stem, line):
+    """A spec writes every number its study reads: without any one of
+    its parameter lines it is refused, and the error names the key."""
+    text = (EXPERIMENTS / f"{stem}.spec").read_text()
+    assert text.count(f"\n{line}\n") == 1
+    key = line.split("=")[0].strip()
+    with pytest.raises(ValidationError, match=f"needs parameter '{key}'$"):
+        load_spec(_write_spec(tmp_path, text.replace(f"\n{line}\n", "\n")))
 
 
 def test_thread_count_env(monkeypatch):
@@ -270,7 +305,7 @@ def test_cross_quadrature_on_fresh_draws():
 
 
 def test_run_writes_artifacts_and_summary(tmp_path):
-    spec = load_spec(_write_spec(tmp_path, AUDIT_SPEC.format(out=tmp_path)))
+    spec = _audit(tmp_path)
     manifest = run(spec)
     assert manifest.complete
     assert set(manifest.statuses.values()) == {"passed"}
@@ -297,21 +332,18 @@ def test_reruns_are_bit_exact_across_parallelism(tmp_path, monkeypatch):
     GFSB_THREADS pool, so it is the one a reordering there would move."""
     def once(tag, threads):
         monkeypatch.setenv("GFSB_THREADS", threads)
-        spec = ExperimentSpec(name="lad", kind="regularity-ladder",
-                              parameters={"n_modes": "128", "dt": "5e-4",
-                                          "t_end": "0.05", "j_hi": "6"},
-                              seeds=tuple(range(3)),
-                              output_dir=tmp_path / tag)
+        spec = _shipped("c06-regularity-ladder", tmp_path / tag,
+                        seeds=range(3), n_modes="128", dt="5e-4",
+                        t_end="0.05", j_hi="6")
         return _artifact_hashes(run(spec))
 
     assert once("serial", "1") == once("parallel", "2")
 
 
 def test_failing_assertion_is_reported_not_raised(tmp_path):
-    spec = ExperimentSpec(name="strict", kind="identity-suite",
-                          parameters={"n_modes": "64", "tolerance": "0",
-                                      "smoothed_probes": "1"},
-                          seeds=(0,), output_dir=tmp_path / "strict")
+    spec = _shipped("c01-decomposition-identities", tmp_path / "strict",
+                    seeds=(0,), n_modes="64", tolerance="0",
+                    smoothed_probes="1")
     manifest = run(spec)
     assert manifest.complete
     assert "failed" in manifest.statuses.values()
@@ -319,10 +351,8 @@ def test_failing_assertion_is_reported_not_raised(tmp_path):
 
 def test_runner_error_becomes_task_failure(tmp_path):
     # Width 2^-5 cannot be resolved on 16 modes.
-    spec = ExperimentSpec(name="eps", kind="eps-convergence",
-                          parameters={"n_modes": "16", "t_end": "0.05",
-                                      "levels": "2,5"},
-                          seeds=(0,), output_dir=tmp_path / "eps")
+    spec = _shipped("c11-mollifier-convergence", tmp_path / "eps",
+                    seeds=(0,), n_modes="16", t_end="0.05", levels="2,5")
     with pytest.raises(TaskFailure) as exc:
         run(spec)
     partial = exc.value.manifest
@@ -340,7 +370,7 @@ def test_failure_manifest_names_the_exception(tmp_path, monkeypatch):
 
     _, schema = _STUDIES["tree-algebra-audit"]
     monkeypatch.setitem(_STUDIES, "tree-algebra-audit", (boom, schema))
-    spec = load_spec(_write_spec(tmp_path, AUDIT_SPEC.format(out=tmp_path)))
+    spec = _audit(tmp_path)
     with pytest.raises(TaskFailure):
         run(spec)
     stored = json.loads((spec.output_dir / "manifest.json").read_text())
@@ -371,19 +401,16 @@ def test_manifest_records_versions_and_validity_warnings(tmp_path):
 
 
 def test_more_u0_values_than_modes_is_a_validation_error(tmp_path):
-    spec = ExperimentSpec(name="eps", kind="eps-convergence",
-                          parameters={"n_modes": "2", "t_end": "0.05",
-                                      "levels": "1,2",
-                                      "u0_modes": "0.1, 0.2j, 0.3"},
-                          seeds=(0,), output_dir=tmp_path / "eps")
+    spec = _shipped("c11-mollifier-convergence", tmp_path / "eps",
+                    seeds=(0,), n_modes="2", t_end="0.05", levels="1,2",
+                    u0_modes="0.1, 0.2j, 0.3")
     with pytest.raises(ValidationError, match="3 values for 2 modes"):
         run(spec)
 
 
 def test_summability_cutoff_below_64_is_refused(tmp_path):
-    spec = ExperimentSpec(name="sum", kind="mode-summability",
-                          parameters={"K": "32", "a_max": "4"},
-                          seeds=(), output_dir=tmp_path / "sum")
+    spec = _shipped("c07-mode-summability", tmp_path / "sum",
+                    K="32", a_max="4")
     with pytest.raises(TaskFailure, match="cutoff must be >= 64"):
         run(spec)
 
@@ -392,10 +419,8 @@ def test_summability_cutoff_below_64_is_refused(tmp_path):
 
 
 def test_plot_data_per_symbol(tmp_path):
-    spec = ExperimentSpec(name="lad", kind="regularity-ladder",
-                          parameters={"n_modes": "128", "dt": "5e-4",
-                                      "t_end": "0.05", "j_hi": "6"},
-                          seeds=(0,), output_dir=tmp_path / "lad")
+    spec = _shipped("c06-regularity-ladder", tmp_path / "lad", seeds=(0,),
+                    n_modes="128", dt="5e-4", t_end="0.05", j_hi="6")
     manifest = run(spec)
     written = emit_plot_data(manifest)
     names = sorted(p.name for p in written)
@@ -474,24 +499,23 @@ def test_no_module_imports_scipy():
     assert found == []
 
 
-def test_cli_verify_identities(tmp_path):
-    result = CliRunner().invoke(
-        main, ["verify-identities", "--n-modes", "32", "--fields", "2",
-               "--out", str(tmp_path)])
-    assert result.exit_code == 0, result.output
-    assert "[PASS] bony-identity" in result.output
+def test_readme_shows_every_command():
+    """README's command-line block runs each gfsb subcommand, and no
+    other, so a command added or deleted without its doc fails here."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    shown = set(re.findall(r"^gfsb ([\w-]+)", block, flags=re.M))
+    assert shown == set(main.commands)
 
 
 def test_cli_run_spec_exit_codes(tmp_path):
-    ok = _write_spec(tmp_path, AUDIT_SPEC.format(out=tmp_path))
+    ok = _write_spec(tmp_path, _spec_text(_audit(tmp_path)))
     result = CliRunner().invoke(main, ["run", str(ok)])
     assert result.exit_code == 0, result.output
 
-    bad = tmp_path / "bad.spec"
-    bad.write_text("[experiment]\nname = strict\nkind = identity-suite\n"
-                   "seeds = 0\noutput = {}\n\n[parameters]\n"
-                   "n_modes = 64\ntolerance = 0\n"
-                   "smoothed_probes = 1\n".format(tmp_path))
+    bad = _write_spec(tmp_path, _spec_text(_shipped(
+        "c01-decomposition-identities", tmp_path / "c01", seeds=(0,),
+        n_modes="64", tolerance="0", smoothed_probes="1")))
     result = CliRunner().invoke(main, ["run", str(bad)])
     assert result.exit_code == 1
     assert "[FAIL]" in result.output
@@ -502,9 +526,8 @@ def test_cli_run_writes_each_spec_under_its_name(tmp_path):
     ``output`` key does, so two studies run into one DIR keep apart."""
     out = tmp_path / "runs"
     for name in ("audit-one", "audit-two"):
-        spec = tmp_path / f"{name}.spec"
-        spec.write_text(AUDIT_SPEC.format(out=tmp_path / "unused")
-                        .replace("audit-check", name))
+        spec = _write_spec(tmp_path, _spec_text(dataclasses.replace(
+            _audit(tmp_path / "unused"), name=name)))
         result = CliRunner().invoke(main, ["run", str(spec), "--out",
                                            str(out)])
         assert result.exit_code == 0, result.output
@@ -548,10 +571,8 @@ def test_each_route_draws_the_forced_flow_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
     calls.clear()
-    run(ExperimentSpec(name="eps", kind="eps-convergence",
-                       parameters={"n_modes": "16", "t_end": "0.05",
-                                   "levels": "2,3"},
-                       seeds=(0,), output_dir=tmp_path / "eps"))
+    run(_shipped("c11-mollifier-convergence", tmp_path / "eps", seeds=(0,),
+                 n_modes="16", t_end="0.05", levels="2,3"))
     assert [cfg.epsilon for cfg in calls] == [0.25, 0.125]
 
 
@@ -566,10 +587,28 @@ def test_cli_tree_algebra_json(tmp_path):
     assert doc["floor"]["holds"] is True
 
 
+# Every key of a gfsb solve config, as README's solve.cfg writes them
+SOLVE_CFG = {
+    "gamma": "1.75", "beta": "0.5", "epsilon": "0.0", "n_modes": "64",
+    "dt": "1e-3", "t_end": "0.1", "seed": "0", "tol": "1e-9",
+    "alpha": "-0.2", "b": "0.5", "noise_scale": "1.0", "u0_modes": "",
+    "coeff_n": "1.0", "coeff_lr": "1.0", "coeff_rLlr": "2.0",
+}
+
+
+def _solve_cfg(path, **keys):
+    """A solve config with ``keys`` in place of SOLVE_CFG's values; a
+    key given as None is left out."""
+    merged = {**SOLVE_CFG, **keys}
+    path.write_text("".join(f"{key} = {value}\n"
+                            for key, value in merged.items()
+                            if value is not None))
+    return path
+
+
 def test_cli_solve_direct_and_structured(tmp_path):
-    cfg = tmp_path / "solve.cfg"
-    cfg.write_text("gamma = 2.0\nn_modes = 16\ndt = 1e-3\nt_end = 0.05\n"
-                   "seed = 3\nu0_modes = 0.05-0.01j, 0.02j\n")
+    cfg = _solve_cfg(tmp_path / "solve.cfg", gamma="2.0", n_modes="16",
+                     t_end="0.05", seed="3", u0_modes="0.05-0.01j, 0.02j")
     result = CliRunner().invoke(
         main, ["solve", "--mode", "direct", "--config", str(cfg),
                "--out", str(tmp_path / "runs")])
@@ -578,10 +617,8 @@ def test_cli_solve_direct_and_structured(tmp_path):
         (tmp_path / "runs" / "direct" / "diagnostics.json").read_text())
     assert "mild_residual" in diag
 
-    cfg2 = tmp_path / "solve2.cfg"
-    cfg2.write_text("gamma = 1.75\nn_modes = 32\ndt = 1e-3\nt_end = 0.05\n"
-                    "seed = 3\nepsilon = 0.125\ntol = 1e-9\n"
-                    "coeff_rLlr = 2.0\n")
+    cfg2 = _solve_cfg(tmp_path / "solve2.cfg", n_modes="32", t_end="0.05",
+                      seed="3", epsilon="0.125")
     result = CliRunner().invoke(
         main, ["solve", "--mode", "subcritical", "--config", str(cfg2),
                "--out", str(tmp_path / "runs")])
@@ -596,11 +633,20 @@ def test_cli_solve_direct_and_structured(tmp_path):
                "--out", str(tmp_path / "runs")])
     assert result.exit_code == 0
 
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("gamma = 2.0\nwhat = 1\n")
+    bad = _solve_cfg(tmp_path / "bad.cfg", gamma="2.0", what="1")
     result = CliRunner().invoke(
         main, ["solve", "--mode", "direct", "--config", str(bad)])
     assert result.exit_code != 0
+
+
+def test_cli_solve_config_missing_a_key_is_a_usage_error(tmp_path):
+    cfg = _solve_cfg(tmp_path / "solve.cfg", noise_scale=None)
+    result = CliRunner().invoke(
+        main, ["solve", "--mode", "direct", "--config", str(cfg),
+               "--out", str(tmp_path / "runs")])
+    assert result.exit_code == 2, result.output
+    assert "needs parameter 'noise_scale'" in result.output
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("line, says", [
@@ -609,8 +655,8 @@ def test_cli_solve_direct_and_structured(tmp_path):
     ("b = 0\n", "b must be positive"),
 ])
 def test_cli_solve_bad_config_is_a_usage_error(tmp_path, line, says):
-    cfg = tmp_path / "solve.cfg"
-    cfg.write_text("gamma = 2.0\nt_end = 0.01\n" + line)
+    cfg = _solve_cfg(tmp_path / "solve.cfg", gamma="2.0", t_end="0.01",
+                     **dict(entry.split(" = ") for entry in line.splitlines()))
     result = CliRunner().invoke(
         main, ["solve", "--mode", "subcritical", "--config", str(cfg),
                "--out", str(tmp_path / "runs")])
@@ -627,25 +673,3 @@ def test_cli_sample_tree(tmp_path):
     manifest = json.loads((tmp_path / "lr" / "manifest.json").read_text())
     assert manifest["format"] == "gfsb-trajectory"
     assert manifest["meta"]["symbol"] == "lr"
-
-
-def test_cli_check_covariance_quick(tmp_path):
-    result = CliRunner().invoke(
-        main, ["check-covariance", "--check", "wick", "--samples", "500",
-               "--out", str(tmp_path)])
-    assert result.exit_code == 0, result.output
-    assert "wick-pairing-structure" in result.output
-
-    result = CliRunner().invoke(
-        main, ["check-covariance", "--check", "tree", "--replicas", "200",
-               "--gammas", "2.0", "--out", str(tmp_path)])
-    assert result.exit_code == 0, result.output
-    assert "tree-moment-g2-k4" in result.output
-    assert "g1.6" not in result.output
-
-    # the wick check reads one exponent: a list is refused, not cut short
-    result = CliRunner().invoke(
-        main, ["check-covariance", "--check", "wick", "--gammas", "1.6,2.0",
-               "--out", str(tmp_path)])
-    assert result.exit_code == 2, result.output
-    assert "parameter 'gamma'" in result.output

@@ -131,7 +131,7 @@ def test_temporal_decorrelation():
 
 
 def test_cross_mode_independence():
-    traj = sample_Y_ensemble(CFG, G8, 400)
+    traj = sample_Y_ensemble(CFG, G8, range(400))
     a = traj[:, -1, 0]
     b = traj[:, -1, 2]
     n = len(a)
