@@ -379,11 +379,13 @@ def _sobolev_of_moduli(moduli: np.ndarray, grid: Grid, s: float
 def _read_sups(band, out: np.ndarray, n_points: int) -> np.ndarray:
     """Fill ``out`` with the sup-norm of each band row on the n_points
     grid; ``band(sl)`` gives the masked modes of rows ``sl``.  Rows go
-    _SUP_ROWS at a time, so the samples stay small enough for the
-    allocator to reuse their memory from chunk to chunk rather than
-    fault in fresh pages for one large temporary.  This is the one place
-    band rows become sups: max(x.max(), -x.min()) is max |x| without the
-    |x| temporary, and the final abs only clears the sign of a zero."""
+    _SUP_ROWS at a time, so each chunk's samples stay far below glibc's
+    mmap threshold (at most 32 MiB, the value the harness fixes): they
+    come from the heap, and every chunk reuses the pages the one before
+    it freed, where one large temporary would be mmapped and faulted in
+    afresh on every call.  This is the one place band rows become sups:
+    max(x.max(), -x.min()) is max |x| without the |x| temporary, and the
+    final abs only clears the sign of a zero."""
     for i in range(0, len(out), _SUP_ROWS):
         sl = slice(i, i + _SUP_ROWS)
         x = modes_to_physical(band(sl), n_points)
@@ -439,10 +441,13 @@ def intersection_sup(modes: np.ndarray, grid: Grid, s: float) -> float:
     the bounds and the Sobolev norms both.  Only the pairs whose bound
     beats the largest Sobolev norm are sorted, by descending bound
     (stable order): the running max never falls below that start, so
-    no other pair can be read.  They go _SUP_ROWS at a time, up to the
-    first chunk with no surviving pair.  A non-finite bound or Sobolev
-    norm (NaN or inf input, overflow) takes the full route, so the
-    result stays non-finite."""
+    no other pair can be read.  They go in chunks of 1, 2, 4 and 8
+    pairs, then _SUP_ROWS at a time, up to the first chunk with no
+    surviving pair: the first sups read usually lift the running max
+    past most bounds, so small chunks first read the fewest pairs, and
+    the chunks then grow to keep the calls few.  A non-finite bound or
+    Sobolev norm (NaN or inf input, overflow) takes the full route, so
+    the result stays non-finite."""
     rows = modes.reshape(-1, modes.shape[-1])
     _, w = _partition_weights(grid.n_modes)
     scale = _block_scales(w.shape[0], s)
@@ -456,12 +461,14 @@ def intersection_sup(modes: np.ndarray, grid: Grid, s: float) -> float:
                                                          s))))
     cand = np.flatnonzero(bound * (1.0 + 1e-12) > top)
     order = cand[np.argsort(-bound[cand], kind="stable")]
-    for i in range(0, order.size, _SUP_ROWS):
-        chunk = order[i:i + _SUP_ROWS]
+    i, size = 0, 1
+    while i < order.size:
+        chunk = order[i:i + size]
         live = chunk[bound[chunk] * (1.0 + 1e-12) > top]
         if not live.size:
             break
         r, b = np.divmod(live, w.shape[0])
         sups = _block_sup_norms(rows, grid.n_modes, (r, b))
         top = max(top, float(np.max(scale[b] * sups)))
+        i, size = i + size, min(2 * size, _SUP_ROWS)
     return top

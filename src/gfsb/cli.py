@@ -19,6 +19,7 @@ from . import __version__
 from .errors import GFSBError, TaskFailure, ValidationError
 from .harness import (
     _complexes,
+    _keep_freed_memory,
     _resolve_parameters,
     _u0_field,
     emit_plot_data,
@@ -177,6 +178,7 @@ def _read_solve_config(path) -> dict:
               show_default=True)
 def solve(mode, config_path, stride, out):
     """Integrate the flow and persist trajectory plus diagnostics."""
+    _keep_freed_memory()
     raw = _read_solve_config(config_path)
     try:
         cfg = NoiseConfig(gamma=raw["gamma"], epsilon=raw["epsilon"],

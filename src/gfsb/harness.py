@@ -87,6 +87,28 @@ def thread_count() -> int:
     return max(1, n)
 
 
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@lru_cache(maxsize=None)
+def _keep_freed_memory() -> None:
+    """Keep freed arrays with the process, once per process.
+
+    glibc trims the heap top after each free and mmaps every block above
+    its threshold afresh, so every later array faults its pages back in.
+    The mmap threshold is set to 32 MiB, the ceiling glibc's own dynamic
+    rule can reach, and the trim threshold to twice that, as the rule
+    sets it.  Both are set: setting either switches the dynamic rule
+    off, and trim alone leaves every block above 128 KiB mmapped.  Does
+    nothing when the C library has no ``mallopt``."""
+    import ctypes
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def _seed_map(fn, seeds):
     """Apply fn to every seed, gathering results in seed order (so the
     reduction below is identical however many workers ran)."""
@@ -124,15 +146,23 @@ def _parse_seed_list(text: str):
     return tuple(out)
 
 
+def _nonempty(values: tuple) -> tuple:
+    """A study's list is what it checks: an empty one is refused."""
+    if not values:
+        raise ValueError("the list is empty")
+    return values
+
+
 def _floats(text: str):
-    return tuple(float(x) for x in text.split(",") if x.strip())
+    return _nonempty(tuple(float(x) for x in text.split(",") if x.strip()))
 
 
 def _ints(text: str):
-    return tuple(int(x) for x in text.split(",") if x.strip())
+    return _nonempty(tuple(int(x) for x in text.split(",") if x.strip()))
 
 
 def _complexes(text: str):
+    """May be empty: an empty ``u0_modes`` is zero initial data."""
     return tuple(complex(x.strip().replace(" ", "")) for x in text.split(",")
                  if x.strip())
 
@@ -146,7 +176,7 @@ def _pairs(text: str):
             continue
         a, b = part.split(":", 1)
         out.append((float(a), float(b)))
-    return tuple(out)
+    return _nonempty(tuple(out))
 
 
 def _resolve_parameters(schema: dict, parameters: dict, owner: str) -> dict:
@@ -161,7 +191,7 @@ def _resolve_parameters(schema: dict, parameters: dict, owner: str) -> dict:
             out[key] = schema[key](raw)
         except (ValueError, TypeError) as exc:
             raise ValidationError(
-                f"parameter {key!r}: cannot read {raw!r}") from exc
+                f"parameter {key!r}: cannot read {raw!r}: {exc}") from exc
     missing = [key for key in schema if key not in out]
     if missing:
         raise ValidationError(f"{owner} needs parameter "
@@ -257,6 +287,12 @@ def code_version() -> str:
     return _CODE_VERSION
 
 
+def _minor_faults() -> int:
+    """The process's minor page faults so far: the manifest records
+    those since its run began, when it is written."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 @dataclass
 class RunManifest:
     """What a run produced: statuses, artifact paths, timings."""
@@ -270,6 +306,8 @@ class RunManifest:
     versions: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
     error: dict = field(default_factory=dict)
+    # the process's minor faults when the run began
+    faults_before: int = field(init=False, default_factory=_minor_faults)
 
     @property
     def complete(self) -> bool:
@@ -289,7 +327,8 @@ class RunManifest:
                 "versions": self.versions,
                 "warnings": self.warnings,
                 "error": self.error,
-                "peak_rss_mb": _peak_rss_mb()}
+                "peak_rss_mb": _peak_rss_mb(),
+                "minor_faults": _minor_faults() - self.faults_before}
 
 
 def _peak_rss_mb() -> float:
@@ -354,6 +393,7 @@ def _write_json(path: Path, obj) -> None:
 
 def run(spec: ExperimentSpec) -> RunManifest:
     """Execute one study: artifacts + summary under spec.output_dir."""
+    _keep_freed_memory()
     params = spec.resolved_parameters()
     runner, _ = _STUDIES[spec.kind]
     out_dir = Path(spec.output_dir)
@@ -368,6 +408,8 @@ def run(spec: ExperimentSpec) -> RunManifest:
             warnings.simplefilter("default", UserWarning)
             result = (runner(params, spec.seeds) if spec.seeds
                       else runner(params))
+        if not result["assertions"]:
+            raise RuntimeError("the study made no assertions")
     except ValidationError:
         raise
     except Exception as exc:

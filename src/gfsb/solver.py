@@ -25,9 +25,10 @@ common regime:
   are both measured at exponent s, so one norm read of their rows
   gives the larger.
 
-The tree square, Q sampled on every block grid, and the subcritical
-drift (the coefficient-weighted tree sum) sampled on its product grid
-are formed once per slab attempt.
+The tree square, Q sampled on every block grid, the free flow's
+exponentials over the slab, and the subcritical drift (the
+coefficient-weighted tree sum) sampled on its product grid are formed
+once per slab attempt.
 
 The shared discretization applies the stiff linear part exactly through
 the per-mode exponential and the nonlinearity through trapezoid-weighted
@@ -59,8 +60,8 @@ from .errors import (BlowupDetected, ConfigMismatch, DomainError,
 from .kernels import COUPLING
 from .noise import sample_Y
 from .spectral import (FourierField, Grid, _product_grid, _product_of_samples,
-                       derivative_symbol, flow_constants, free_flow,
-                       modes_to_physical, product_modes)
+                       derivative_symbol, flow_constants, flow_table,
+                       free_flow, modes_to_physical, product_modes)
 from .trajectory import Trajectory
 from .trees import (GENERATOR_KEY, CoefficientMap, RegularityParams,
                     TreeSymbol, parse_symbol, product, regular_set,
@@ -156,7 +157,10 @@ def solve_mollified(y: Trajectory, u0: FourierField, *,
     converge to; a step whose gap is still above 1e-12 of the iterate's
     scale after ``max_step_iter`` iterations raises NoContraction.  The
     returned metadata carries the re-integrated mild defect of w; Y
-    satisfies its own integral identity exactly by construction.
+    satisfies its own integral identity exactly by construction.  The
+    defect's forcing is the transport the march formed at each accepted
+    node, the one the next step reads: a batched transport of the whole
+    solution gives the same rows bit for bit, so none is formed again.
     """
     grid = u0.grid
     if grid != y.grid:
@@ -173,14 +177,15 @@ def solve_mollified(y: Trajectory, u0: FourierField, *,
         return deriv * product_modes(u_modes, u_modes, n_mod)
 
     w = np.empty((len(times), n_mod), dtype=np.complex128)
+    g = np.empty_like(w)                # the transport at every node
     w[0] = u0.modes
     _check_ceiling(w[0] + y[0], grid, ceiling, times[0])
-    g_prev = transport(w[0] + y[0])
+    g[0] = transport(w[0] + y[0])
     worst = 0
     for n in range(len(times) - 1):
         yn = y[n + 1]
-        base = decay * w[n] + half * g_prev
-        z = base + half * g_prev        # frozen-forcing predictor
+        base = decay * w[n] + half * g[n]
+        z = base + half * g[n]          # frozen-forcing predictor
         scale = max(1.0, float(np.max(np.abs(z))))
         gap = math.inf
         for it in range(max_step_iter):
@@ -199,12 +204,11 @@ def solve_mollified(y: Trajectory, u0: FourierField, *,
                 f"tolerance {_STEP_TOL * scale:.3g})")
         worst = max(worst, it + 1)
         w[n + 1] = z
-        g_prev = transport(z + yn)
+        g[n + 1] = transport(z + yn)
         _check_ceiling(z + yn, grid, ceiling, times[n + 1])
 
-    u = w + y
-    residual = mild_residual(Trajectory(times, w, grid), transport(u))
-    return Trajectory(times, u, grid, meta={
+    residual = mild_residual(Trajectory(times, w, grid), g)
+    return Trajectory(times, w + y, grid, meta={
         "kind": "mollified", "mild_residual": residual,
         "max_step_iterations": worst})
 
@@ -582,7 +586,10 @@ def solve_paracontrolled(data: EnhancedData, coefficients, u0: FourierField,
 
     What depends only on the trees is formed once per slab attempt: the
     square of X_lr, 2 (X_lr + y), and Q sampled on every block grid of
-    the paraproduct, so a sweep transforms only the factors that change.
+    the paraproduct, so a sweep transforms only the factors that change;
+    so is the slab's table of free-flow exponentials.  The last attempt
+    ends at the last node, so the final paraproduct reuses its samples
+    of Q.
     Blow-up is monitored on the combined functional
     (u' at exponent s) + 2 (u# at exponent 2s), s = (alpha + b)/2.
     """
@@ -624,9 +631,14 @@ def solve_paracontrolled(data: EnhancedData, coefficients, u0: FourierField,
             Trajectory(times[:horizon], u_prime[:horizon], grid), q,
             bank).modes
 
+    # Q's samples of the latest attempt; the last attempt ends at the
+    # last node, so the final paraproduct reads them too
+    q_blk = None
+
     def attempt(i0, steps):
+        nonlocal q_blk
         hi = i0 + steps + 1
-        rel = times[i0:hi] - times[i0]
+        flow = flow_table(grid, times[i0:hi] - times[i0])
         # the trees' share of the sweep, on this attempt's horizon
         xlr, xr = xlr_s[:hi], xr_s[:hi]
         drive = 2.0 * (xlr + y_s[:hi])
@@ -644,16 +656,14 @@ def solve_paracontrolled(data: EnhancedData, coefficients, u0: FourierField,
                                                  grid)
             scanned = duhamel_scan(rhs[i0:hi], decay, weight,
                                    init=u_sharp[i0])
-            sharp_new = scanned - (para[i0:hi]
-                                   - free_flow(para[i0], grid, rel))
+            sharp_new = scanned - (para[i0:hi] - flow * para[i0])
             # both steps at exponent s: one norm read of their rows
             step = np.concatenate([prime_step, sharp_new - sharp_cur])
             return sharp_new, intersection_sup(step, grid, s)
 
         prime_before = u_prime[:hi].copy()
         try:
-            return _contract(sweep, free_flow(u_sharp[i0], grid, rel), tol,
-                             max_iter)
+            return _contract(sweep, flow * u_sharp[i0], tol, max_iter)
         except _SlabDiverged:
             u_prime[:hi] = prime_before
             raise
@@ -667,7 +677,7 @@ def solve_paracontrolled(data: EnhancedData, coefficients, u0: FourierField,
     slabs = _march_slabs(times, attempt, accept, "blow-up functional",
                          ceiling, delta, grid.gamma)
 
-    para_final = smoothed_para(len(times), Trajectory(times, q_modes, grid))
+    para_final = smoothed_para(len(times), q_blk)
     uq_final = para_final + u_sharp
     residual = intersection_sup(u_prime - (xr_s + para_final + u_sharp), grid,
                                 s)

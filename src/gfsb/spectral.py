@@ -179,11 +179,11 @@ def _product_of_samples(pa: np.ndarray, pb: np.ndarray, m: int, top: int,
     """Modes 1..n_modes of the product of two factors sampled on the
     m-point grid that ``_product_grid`` gave for them."""
     spec = np.fft.rfft(pa * pb, axis=-1)
-    spec /= m
+    # only the kept band is scaled, straight into the result
     if top == n_modes:
-        return np.ascontiguousarray(spec[..., 1:top + 1])
+        return np.divide(spec[..., 1:top + 1], m)
     out = np.zeros(spec.shape[:-1] + (n_modes,), dtype=np.complex128)
-    out[..., :top] = spec[..., 1:top + 1]
+    np.divide(spec[..., 1:top + 1], m, out=out[..., :top])
     return out
 
 
@@ -229,10 +229,15 @@ def flow_constants(grid: Grid, dt: float):
     return rates, decay, (1.0 - decay) / rates
 
 
+def flow_table(grid: Grid, elapsed: np.ndarray) -> np.ndarray:
+    """e^{tL} per mode at each elapsed time t: one row per time."""
+    return np.exp(-np.outer(elapsed, grid.wavenumbers ** grid.gamma))
+
+
 def free_flow(start: np.ndarray, grid: Grid,
               elapsed: np.ndarray) -> np.ndarray:
     """e^{tL} start at each elapsed time t: one row per time."""
-    return np.exp(-np.outer(elapsed, grid.wavenumbers ** grid.gamma)) * start
+    return flow_table(grid, elapsed) * start
 
 
 # ---------------------------------------------------------------- mollifier

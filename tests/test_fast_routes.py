@@ -566,17 +566,42 @@ def pairs_read(monkeypatch):
     return read
 
 
+def pairs_above(modes, grid, s):
+    """The (row, block) pairs whose bound * (1 + 1e-12) beats the max
+    that intersection_sup returns: every schedule must read them all."""
+    rows = modes.reshape(-1, modes.shape[-1])
+    _, w = _partition_weights(grid.n_modes)
+    scale = 2.0 ** (np.arange(-1, w.shape[0] - 1) * s)
+    bound = scale * (2.0 * (np.abs(rows) @ w.T))
+    return int(np.sum(bound * (1.0 + 1e-12) > intersection_sup(modes, grid,
+                                                              s)))
+
+
 def test_w_sup_reads_few_rows_of_decaying_input(pairs_read):
     """Row amplitudes shrink geometrically, as along a contracting Picard
     sweep, so the top pairs' bounds clear the rest; the Hoelder side
     wins, so the prune is not won by the Sobolev start alone.  Of the
-    1600 pairs, those read fill one chunk."""
+    1600 pairs, 12 have a bound above the max, and the chunks of 1, 2,
+    4 and 8 read those 12 and no other (one chunk of 16 read 16)."""
     rng = np.random.default_rng(2)
     grid = Grid(64, 2.0)
     modes = decaying_rows(rng, 200, 64) * 0.97 ** np.arange(200)[:, None]
     assert (intersection_sup(modes, grid, 0.9)
             > np.max(sobolev_norms(modes, grid, 0.9)))
-    assert 0 < pairs_read(modes, grid, 0.9) <= _SUP_ROWS
+    assert pairs_read(modes, grid, 0.9) == pairs_above(modes, grid, 0.9) == 12
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_w_sup_reads_only_the_pairs_above_the_max_of_sweep_rows(
+        sweep_differences, pairs_read):
+    """On the reconstruction shape's sweep steps, the chunks of 1, 2, 4,
+    8 and then 16 pairs read exactly the pairs whose bound beats the
+    final max (61 over the 33 calls of one solve of each route), the
+    fewest that any order of reads could take."""
+    calls = sweep_differences["reconstruction"]
+    read = [pairs_read(modes, grid, s) for modes, grid, s in calls]
+    assert read == [pairs_above(modes, grid, s) for modes, grid, s in calls]
+    assert sum(read) == 61
 
 
 def test_w_sup_reads_every_row_when_bounds_tie_tight(pairs_read):

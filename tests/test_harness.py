@@ -6,6 +6,7 @@ import hashlib
 import inspect
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -25,6 +26,10 @@ from gfsb.harness import (
     _STUDIES,
     _cross_quadrature,
     _double_exponential_rule,
+    _floats,
+    _ints,
+    _keep_freed_memory,
+    _pairs,
     _parse_seed_list,
     code_version,
     emit_plot_data,
@@ -201,6 +206,40 @@ def test_load_spec_refuses_a_missing_parameter(tmp_path, stem, line):
         load_spec(_write_spec(tmp_path, text.replace(f"\n{line}\n", "\n")))
 
 
+def _list_keys():
+    """(stem, key) for every list parameter of every shipped spec but
+    ``u0_modes``, whose empty value is zero initial data."""
+    for path in sorted(EXPERIMENTS.glob("*.spec")):
+        kind = load_spec(path).kind
+        for key, cast in _STUDIES[kind][1].items():
+            if cast in (_floats, _ints, _pairs):
+                yield pytest.param(path.stem, key,
+                                   id=f"{path.stem[:3]}-{key}")
+
+
+@pytest.mark.parametrize("stem, key", _list_keys())
+def test_load_spec_refuses_an_empty_list(tmp_path, stem, key):
+    """An empty list would run a study that checks nothing (c03 with
+    ``gammas =`` once passed with no assertions); the error names the
+    key."""
+    text = (EXPERIMENTS / f"{stem}.spec").read_text()
+    emptied, count = re.subn(rf"^{key} = .*$", f"{key} =", text,
+                             flags=re.MULTILINE)
+    assert count == 1
+    with pytest.raises(ValidationError,
+                       match=f"parameter '{key}': cannot read '': "
+                             "the list is empty"):
+        load_spec(_write_spec(tmp_path, emptied))
+
+
+def test_load_spec_takes_empty_initial_modes(tmp_path):
+    text = (EXPERIMENTS / "c10-solver-reconstruction.spec").read_text()
+    emptied = re.sub(r"^u0_modes = .*$", "u0_modes =", text,
+                     flags=re.MULTILINE)
+    assert load_spec(_write_spec(tmp_path, emptied)).resolved_parameters()[
+        "u0_modes"] == ()
+
+
 def test_thread_count_env(monkeypatch):
     monkeypatch.delenv("GFSB_THREADS", raising=False)
     assert thread_count() == 1
@@ -316,6 +355,8 @@ def test_run_writes_artifacts_and_summary(tmp_path):
     stored = json.loads((spec.output_dir / "manifest.json").read_text())
     assert stored["spec_hash"] == spec.spec_hash()
     assert stored["peak_rss_mb"] > 0
+    assert isinstance(stored["minor_faults"], int)
+    assert stored["minor_faults"] >= 0
     assert stored["error"] == {}
 
 
@@ -378,6 +419,49 @@ def test_failure_manifest_names_the_exception(tmp_path, monkeypatch):
     assert stored["error"] == {"type": "RuntimeError",
                                "message": "slab 3 diverged"}
     assert stored["peak_rss_mb"] > 0
+
+
+def test_a_study_with_no_assertions_fails(tmp_path, monkeypatch):
+    _, schema = _STUDIES["tree-algebra-audit"]
+    monkeypatch.setitem(_STUDIES, "tree-algebra-audit",
+                        (lambda params: {"assertions": []}, schema))
+    spec = _audit(tmp_path)
+    with pytest.raises(TaskFailure, match="made no assertions"):
+        run(spec)
+    stored = json.loads((spec.output_dir / "manifest.json").read_text())
+    assert stored["statuses"] == {"run": "error"}
+    assert not (spec.output_dir / "summary.json").exists()
+    result = CliRunner().invoke(main, ["run", str(_write_spec(
+        tmp_path, _spec_text(spec)))])
+    assert result.exit_code == 2, result.output
+
+
+class _Libc:
+    """A C library whose mallopt records its calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def test_heap_policy_sets_both_thresholds(monkeypatch):
+    """M_MMAP_THRESHOLD (-3) at 32 MiB and M_TRIM_THRESHOLD (-1) at
+    twice that: setting only one leaves glibc's dynamic rule off with
+    the other at its default."""
+    import ctypes
+    libc = _Libc()
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    _keep_freed_memory.__wrapped__()
+    assert libc.calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+
+def test_heap_policy_without_mallopt_does_nothing(monkeypatch):
+    import ctypes
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    assert _keep_freed_memory.__wrapped__() is None
 
 
 def test_manifest_records_versions_and_validity_warnings(tmp_path):
@@ -465,6 +549,23 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
+# c10 at the reconstruction workload's shape, run twice in one process:
+# the heap keeps what the first run freed, so the second faults in
+# almost no fresh pages (about 6600 when glibc trimmed after each free).
+FAULT_PROBE = """\
+import dataclasses, json, sys
+from pathlib import Path
+from gfsb.harness import load_spec, run
+spec = load_spec(sys.argv[1], sys.argv[2])
+spec = dataclasses.replace(spec, parameters={
+    **spec.parameters, "n_modes": "128", "dt": "4e-4", "t_end": "0.02"})
+for _ in range(2):
+    assert all(a["passed"] for a in run(spec).assertions)
+print(json.loads((Path(sys.argv[2]) / "manifest.json").read_text())[
+    "minor_faults"])
+"""
+
+
 def _probe(code, *args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code, *map(str, args)],
@@ -480,6 +581,13 @@ def test_cli_import_leaves_heavy_scipy_unloaded(tmp_path):
 
 def test_solver_studies_load_no_scipy(tmp_path):
     assert _probe(STUDY_PROBE, EXPERIMENTS, tmp_path) == "[]"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap policy is glibc's mallopt")
+def test_a_rerun_faults_in_few_pages(tmp_path):
+    spec = EXPERIMENTS / "c10-solver-reconstruction.spec"
+    assert int(_probe(FAULT_PROBE, spec, tmp_path)) < 500
 
 
 def test_no_module_imports_scipy():
