@@ -369,6 +369,12 @@ def sobolev_norms(modes: np.ndarray, grid: Grid, s: float) -> np.ndarray:
     return _sobolev_of_moduli(np.abs(modes), grid, s)
 
 
+def _max_sobolev(modes: np.ndarray, grid: Grid, s: float) -> float:
+    """The largest ``sobolev_norms`` over the rows of ``modes``: the
+    sup-in-time H^s norm of a trajectory's modes."""
+    return float(np.max(sobolev_norms(modes, grid, s)))
+
+
 def _sobolev_of_moduli(moduli: np.ndarray, grid: Grid, s: float
                        ) -> np.ndarray:
     """``sobolev_norms`` of the rows whose |c_k| are ``moduli``."""

@@ -2,6 +2,12 @@
 study runs.  ``gfsb run SPEC`` is the one way to run a study; to run one
 at another size, run an edited copy of its spec.
 
+``gfsb sample-tree`` and ``gfsb solve`` save the trajectory they made as
+one ``trajectory.npz`` (``_save_trajectory``): its thinned times and
+mode rows, the grid's ``n_modes`` and ``gamma``, and a JSON ``meta``.
+It reads back with ``np.load(path, allow_pickle=False)``.  Every file a
+command writes goes through the harness's atomic writer.
+
 Exit codes: 0 all checks passed, 1 at least one assertion failed,
 2 bad input or a study that errored mid-flight.  GFSB_THREADS caps the
 workers of regularity-ladder, the one study that spreads seeds over them.
@@ -18,15 +24,17 @@ import click
 from . import __version__
 from .errors import GFSBError, TaskFailure, ValidationError
 from .harness import (
+    _atomic_write,
     _complexes,
     _keep_freed_memory,
     _resolve_parameters,
     _u0_field,
+    _write_json,
     emit_plot_data,
     load_spec,
     run,
 )
-from .noise import NoiseConfig, sample_Y, save_trajectory
+from .noise import NoiseConfig, sample_Y
 from .solver import (
     build_enhanced_data,
     solve_mollified,
@@ -42,6 +50,25 @@ from .trees import (
     regularity,
     verify_regularity_floor,
 )
+
+
+def _save_trajectory(traj, directory: Path, stride: int, meta: dict) -> Path:
+    """Write every ``stride``-th node of ``traj`` to
+    ``directory/trajectory.npz``; stride 0 keeps at most 200 nodes."""
+    import io
+
+    import numpy as np
+
+    if stride <= 0:
+        stride = (len(traj) - 1) // 200 + 1
+    buf = io.BytesIO()
+    np.savez(buf, times=traj.times[::stride], modes=traj.modes[::stride],
+             n_modes=traj.grid.n_modes, gamma=traj.grid.gamma,
+             meta=json.dumps(meta, sort_keys=True))
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / "trajectory.npz"
+    _atomic_write(path, buf.getvalue())
+    return path
 
 
 def _echo_assertions(manifest) -> bool:
@@ -95,7 +122,7 @@ def tree_algebra(max_leaves, alpha, b, out):
     click.echo(text)
     if out:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(text + "\n")
+        _atomic_write(Path(out), text + "\n")
 
 
 # ------------------------------------------------------------- sample-tree
@@ -111,7 +138,7 @@ def tree_algebra(max_leaves, alpha, b, out):
 @click.option("--t-end", default=0.5, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--stride", default=0, show_default=True,
-              help="Snapshot thinning; 0 picks one that keeps <= 200 nodes.")
+              help="Keep every STRIDE-th node; 0 keeps at most 200.")
 @click.option("--out", type=click.Path(), default="runs/sample",
               show_default=True)
 def sample_tree(symbol, gamma, epsilon, n_modes, dt, t_end, seed, stride, out):
@@ -125,15 +152,11 @@ def sample_tree(symbol, gamma, epsilon, n_modes, dt, t_end, seed, stride, out):
         tree = build_tree_family(base)[symbol]
     except (GFSBError, ValueError) as exc:
         raise click.UsageError(str(exc))
-    if stride <= 0:
-        stride = max(1, len(tree) // 200)
-    directory = Path(out) / symbol
-    save_trajectory(tree, directory, stride=stride,
-                    meta={"symbol": symbol, "gamma": gamma,
-                          "epsilon": epsilon, "seed": seed, "dt": dt,
-                          "t_end": t_end})
-    click.echo(f"wrote {directory}/manifest.json "
-               f"({1 + (len(tree) - 1) // stride} snapshots)")
+    path = _save_trajectory(tree, Path(out) / symbol, stride,
+                            {"symbol": symbol, "gamma": gamma,
+                             "beta": config.beta, "epsilon": epsilon,
+                             "seed": seed, "dt": dt, "t_end": t_end})
+    click.echo(f"wrote {path}")
 
 
 # ------------------------------------------------------------------ solve
@@ -149,20 +172,27 @@ _SOLVE_SCHEMA = {
 
 
 def _read_solve_config(path) -> dict:
-    parser = configparser.ConfigParser(interpolation=None)
+    """The keys of a flat solve config, or of its one section.  A second
+    section is refused, so no key can be given twice; [DEFAULT] is an
+    ordinary section here, and counts."""
+    parser = configparser.ConfigParser(interpolation=None,
+                                       default_section="")
     parser.optionxform = str
     text = Path(path).read_text()
-    if not text.lstrip().startswith("["):
-        text = "[solve]\n" + text
     try:
-        parser.read_string(text)
+        try:
+            parser.read_string(text)
+        except configparser.MissingSectionHeaderError:
+            parser.read_string("[solve]\n" + text)
     except configparser.Error as exc:
         raise click.UsageError(f"cannot parse {path}: {exc}")
-    merged = {}
-    for section in parser.sections():
-        merged.update(parser[section])
+    sections = parser.sections()
+    if len(sections) > 1:
+        raise click.UsageError(f"{path} has a second section, "
+                               f"[{sections[1]}]: a solve config has one")
+    keys = dict(parser[sections[0]]) if sections else {}
     try:
-        return _resolve_parameters(_SOLVE_SCHEMA, merged, "the solve config")
+        return _resolve_parameters(_SOLVE_SCHEMA, keys, "the solve config")
     except ValidationError as exc:
         raise click.UsageError(str(exc))
 
@@ -173,7 +203,8 @@ def _read_solve_config(path) -> dict:
               default="direct", show_default=True)
 @click.option("--config", "config_path", type=click.Path(exists=True),
               required=True, help="Flat key=value solve configuration.")
-@click.option("--stride", default=0, show_default=True)
+@click.option("--stride", default=0, show_default=True,
+              help="Keep every STRIDE-th node; 0 keeps at most 200.")
 @click.option("--out", type=click.Path(), default="runs/solve",
               show_default=True)
 def solve(mode, config_path, stride, out):
@@ -220,15 +251,11 @@ def solve(mode, config_path, stride, out):
     except GFSBError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    if stride <= 0:
-        stride = max(1, len(traj) // 200)
-    save_trajectory(traj, out_dir, stride=stride,
-                    meta={"mode": mode, "config": {k: str(v)
-                                                   for k, v in raw.items()}})
-    diag_path = out_dir / "diagnostics.json"
-    diag_path.write_text(json.dumps(diagnostics, indent=2, sort_keys=True,
-                                    default=float) + "\n")
-    click.echo(f"wrote {out_dir}/manifest.json and diagnostics.json")
+    path = _save_trajectory(traj, out_dir, stride,
+                            {"mode": mode,
+                             "config": {k: str(v) for k, v in raw.items()}})
+    _write_json(out_dir / "diagnostics.json", diagnostics)
+    click.echo(f"wrote {path} and diagnostics.json")
 
 
 # -------------------------------------------------------------------- run

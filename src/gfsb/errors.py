@@ -21,10 +21,6 @@ class GridMismatch(GFSBError):
     """Binary field operation on fields living on different grids."""
 
 
-class FormatError(GFSBError):
-    """Corrupt or foreign binary snapshot."""
-
-
 # --- dyadic / paraproduct toolkit ---
 
 class BlockOutOfRange(GFSBError):

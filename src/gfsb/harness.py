@@ -34,13 +34,13 @@ import numpy as np
 from .besov import (
     DyadicPartition,
     TimeMollifierBank,
+    _max_sobolev,
     _partition_weights,
     _read_sups,
     bony_decomposition,
     lp_block,
     modified_paraproduct,
     paraproduct_lower,
-    sobolev_norms,
 )
 from .construct import build_tree_family, duhamel_scan, bilinear_forcing
 from .errors import IncompleteManifest, TaskFailure, ValidationError
@@ -359,9 +359,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, data: str | bytes) -> None:
+    """Write text, or a binary file's bytes, to a temp name beside
+    ``path`` and rename it over ``path``: every file gfsb writes goes
+    through here, so none is ever seen half written."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    if isinstance(data, bytes):
+        tmp.write_bytes(data)
+    else:
+        tmp.write_text(data)
     os.replace(tmp, path)
 
 
@@ -478,11 +484,7 @@ def emit_plot_data(manifest: RunManifest):
             for key, pairs in groups.items():
                 out_name = f"{prefix}_{key}.csv" if key else f"{prefix}.csv"
                 out_path = path.parent / out_name
-                buf = io.StringIO()
-                writer = csv.writer(buf, lineterminator="\n")
-                writer.writerow([x_col, y_col])
-                writer.writerows(pairs)
-                _atomic_write(out_path, buf.getvalue())
+                _write_csv(out_path, [x_col, y_col], pairs)
                 written.append(out_path)
     return written
 
@@ -853,10 +855,6 @@ def _run_eps_convergence(params, seeds):
 # ----------------------- studies: solver degeneration, reconstruction
 
 
-def _ct_norm(modes, grid, s):
-    return float(np.max(sobolev_norms(modes, grid, s)))
-
-
 def _run_solver_degeneration(params):
     gamma = params["gamma"]
     grid = Grid(n_modes=params["n_modes"], gamma=gamma)
@@ -869,8 +867,10 @@ def _run_solver_degeneration(params):
     data = zero_enhanced_data(grid, direct.times, reg)
     sub = solve_subcritical(data, None, u0, tol=params["solve_tol"])
     para = solve_paracontrolled(data, None, u0, tol=params["solve_tol"])
-    gap_sub = _ct_norm(sub.reconstruct(data).modes - direct.modes, grid, 0.0)
-    gap_para = _ct_norm(para.reconstruct(data).modes - direct.modes, grid, 0.0)
+    gap_sub = _max_sobolev(sub.reconstruct(data).modes - direct.modes,
+                           grid, 0.0)
+    gap_para = _max_sobolev(para.reconstruct(data).modes - direct.modes,
+                            grid, 0.0)
 
     residuals = []
     for h in params["residual_dts"]:
@@ -919,11 +919,11 @@ def _run_solver_reconstruction(params):
     sub = solve_subcritical(data, None, u0, tol=params["solve_tol"])
     para = solve_paracontrolled(data, None, u0, tol=params["solve_tol"])
     s = params["exponent"]
-    scale = _ct_norm(direct.modes, grid, s)
-    rel_sub = _ct_norm(sub.reconstruct(data).modes - direct.modes,
-                       grid, s) / scale
-    rel_para = _ct_norm(para.reconstruct(data).modes - direct.modes,
-                        grid, s) / scale
+    scale = _max_sobolev(direct.modes, grid, s)
+    rel_sub = _max_sobolev(sub.reconstruct(data).modes - direct.modes,
+                           grid, s) / scale
+    rel_para = _max_sobolev(para.reconstruct(data).modes - direct.modes,
+                            grid, s) / scale
     return {
         "assertions": [
             _assertion("reconstruction-subcritical",

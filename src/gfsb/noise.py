@@ -14,27 +14,23 @@ Randomness comes from counter-based Philox streams keyed by
 trajectories regardless of threading, and configurations that differ
 only in the mollification width consume identical underlying normals -
 which is what makes pathwise width-comparison (coupling) exact.
+
+Samples are returned in memory; ``gfsb sample-tree`` and ``gfsb solve``
+save the trajectories they make (``gfsb.cli``).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    GridMismatch,
-    IncompleteManifest,
-    UnresolvedMollifier,
-    ValidationError,
-)
-from .spectral import (Grid, Mollifier, flow_constants, read_snapshot,
-                       write_snapshot)
+from .errors import GridMismatch, UnresolvedMollifier, ValidationError
+from .spectral import Grid, Mollifier, flow_constants
 from .trajectory import Trajectory
+
 
 @dataclass(frozen=True)
 class NoiseConfig:
@@ -153,57 +149,3 @@ def sample_Y_ensemble(config: NoiseConfig, grid: Grid,
         z = _normals(config.seed, 1000 + r, shape)
         out[i] = _ou_path(config, grid, z)
     return out
-
-
-# ---------------------------------------------------------------- persistence
-
-
-def save_trajectory(traj: Trajectory, directory, meta: dict | None = None,
-                    stride: int = 1) -> None:
-    """Sequence of binary snapshots plus a JSON manifest."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    idx = range(0, len(traj), stride)
-    files = []
-    for j, i in enumerate(idx):
-        name = f"node_{j:06d}.bin"
-        write_snapshot(traj.field(i), directory / name)
-        files.append(name)
-    manifest = {
-        "format": "gfsb-trajectory",
-        "version": 1,
-        "times": [float(traj.times[i]) for i in idx],
-        "n_modes": traj.grid.n_modes,
-        "gamma": traj.grid.gamma,
-        "files": files,
-        "meta": meta if meta is not None else (traj.meta or {}),
-    }
-    tmp = directory / "manifest.json.tmp"
-    tmp.write_text(json.dumps(manifest, indent=1))
-    tmp.replace(directory / "manifest.json")
-
-
-def load_trajectory(directory) -> Trajectory:
-    directory = Path(directory)
-    try:
-        manifest = json.loads((directory / "manifest.json").read_text())
-    except FileNotFoundError as exc:
-        raise IncompleteManifest("manifest.json missing") from exc
-    for key in ("times", "n_modes", "gamma", "files"):
-        if key not in manifest:
-            raise IncompleteManifest(f"manifest lacks {key!r}")
-    if len(manifest["times"]) != len(manifest["files"]):
-        raise IncompleteManifest("times/files length mismatch")
-    grid = Grid(int(manifest["n_modes"]), float(manifest["gamma"]))
-    modes = np.empty((len(manifest["files"]), grid.n_modes),
-                     dtype=np.complex128)
-    for i, name in enumerate(manifest["files"]):
-        path = directory / name
-        if not path.exists():
-            raise IncompleteManifest(f"snapshot {name} missing")
-        field, _ = read_snapshot(path)
-        if field.grid != grid:
-            raise IncompleteManifest(f"snapshot {name} grid mismatch")
-        modes[i] = field.modes
-    return Trajectory(np.asarray(manifest["times"]), modes, grid,
-                      meta=manifest.get("meta"))

@@ -51,8 +51,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import (_OVERSAMPLE, TimeMollifierBank, _sample, holder_norms,
-                    intersection_sup, modified_paraproduct, sobolev_norms)
+from .besov import (_OVERSAMPLE, TimeMollifierBank, _max_sobolev, _sample,
+                    holder_norms, intersection_sup, modified_paraproduct,
+                    sobolev_norms)
 from .construct import bilinear_forcing, build_tree_family, duhamel_scan
 from .errors import (BlowupDetected, ConfigMismatch, DomainError,
                      GridMismatch, NoContraction, NonpositiveOrder,
@@ -858,9 +859,6 @@ def epsilon_convergence_study(configs, seeds, u0: FourierField, *,
             raise ConfigMismatch("ladder configs may differ only in epsilon")
     grid = u0.grid
 
-    def ct_norm(diff):
-        return float(np.max(sobolev_norms(diff, grid, exponent)))
-
     tree_keys = (GENERATOR_KEY, "lr", "rLlr")
     sol_diffs = np.zeros((len(seeds), len(configs) - 1))
     tree_diffs = {k: np.zeros_like(sol_diffs) for k in tree_keys}
@@ -872,10 +870,11 @@ def epsilon_convergence_study(configs, seeds, u0: FourierField, *,
             fam = build_tree_family(y, recentered=True)
             families.append({k: tr.modes for k, tr in fam.items()})
         for m in range(len(configs) - 1):
-            sol_diffs[i, m] = ct_norm(sols[m] - sols[m + 1])
+            sol_diffs[i, m] = _max_sobolev(sols[m] - sols[m + 1], grid,
+                                          exponent)
             for k in tree_keys:
-                tree_diffs[k][i, m] = ct_norm(
-                    families[m][k] - families[m + 1][k])
+                tree_diffs[k][i, m] = _max_sobolev(
+                    families[m][k] - families[m + 1][k], grid, exponent)
 
     def summary(table):
         med = np.median(table, axis=0)

@@ -28,17 +28,19 @@ helper the tests keep as its oracle.  ``besov``'s time smoothing takes
 its lengths from it too, and forms its real kernel's spectrum as the
 real transform plus the conjugate mirror: that is what a real-input FFT
 does, while a complex FFT of the same kernel differs at roundoff.
+
+Fields live in memory only; nothing here reads or writes a file.  The
+command line saves whole trajectories (``gfsb.cli``).
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import FormatError, GridMismatch
+from .errors import GridMismatch
 
 
 @dataclass(frozen=True)
@@ -275,39 +277,3 @@ class Mollifier:
         if self.epsilon == 0.0:
             return True
         return grid.n_modes >= 1.0 / self.epsilon
-
-
-# ---------------------------------------------------------------- snapshots
-
-_MAGIC = b"GFSB"
-_VERSION = 1
-
-
-def write_snapshot(f: FourierField, path, beta: float = 0.0) -> None:
-    """Binary snapshot: magic, version u16, N u32, gamma f64, beta f64,
-    then re/im interleaved f64 little-endian for k = 1..N."""
-    n = f.grid.n_modes
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<HId d", _VERSION, n, f.grid.gamma, beta))
-        inter = np.empty(2 * n, dtype="<f8")
-        inter[0::2] = f.modes.real
-        inter[1::2] = f.modes.imag
-        fh.write(inter.tobytes())
-
-
-def read_snapshot(path):
-    """Returns (FourierField, beta)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _MAGIC:
-        raise FormatError(f"bad magic {raw[:4]!r}")
-    version, n, gamma, beta = struct.unpack("<HId d", raw[4:4 + 22])
-    if version != _VERSION:
-        raise FormatError(f"unsupported snapshot version {version}")
-    body = np.frombuffer(raw[4 + 22:], dtype="<f8")
-    if body.size != 2 * n:
-        raise FormatError(f"expected {2*n} floats, found {body.size}")
-    modes = body[0::2] + 1j * body[1::2]
-    return FourierField(modes, Grid(n, gamma)), beta
-

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridMismatch, NonuniformGrid, TimeGridMismatch
-from .spectral import FourierField, Grid
+from .spectral import Grid
 
 _UNIFORM_RTOL = 1e-9
 
@@ -56,9 +56,6 @@ class Trajectory:
         if np.max(np.abs(d - d[0])) > _UNIFORM_RTOL * d[0]:
             raise NonuniformGrid("time grid is not uniform")
         return float(d[0])
-
-    def field(self, i: int) -> FourierField:
-        return FourierField(self.modes[i].copy(), self.grid)
 
     # ------------------------------------------------------------ arithmetic
 

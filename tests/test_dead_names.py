@@ -34,7 +34,6 @@ ALLOWED = {
     "kernels.pair_kernel":
         "oracle for quadratic_tree_covariance and the tree moments",
     "spectral.physical_to_modes": "oracle for modes_to_physical",
-    "noise.load_trajectory": "reads back the format of save_trajectory",
     "besov.TimeMollifierBank.mean_lag":
         "oracle for modified_paraproduct through the mean-lag identity",
     "spectral.FourierField.to_physical":
@@ -67,7 +66,6 @@ OPTIONS_ALLOWED = {
         "amplitude and phase of the tests' closed-form inputs",
     "spectral.FourierField.to_physical(n_points)":
         "the tests' oracles read fields on grids of their own",
-    "spectral.write_snapshot(beta)": "a field of the snapshot format",
 }
 
 

@@ -18,6 +18,7 @@ from click.testing import CliRunner
 from scipy import integrate
 
 from gfsb.cli import main
+from gfsb.construct import build_tree_family
 from gfsb.errors import IncompleteManifest, TaskFailure, ValidationError
 from gfsb.kernels import exp_cross_integral
 from gfsb.harness import (
@@ -37,6 +38,15 @@ from gfsb.harness import (
     run,
     thread_count,
 )
+from gfsb.noise import NoiseConfig, sample_Y
+from gfsb.solver import (
+    build_enhanced_data,
+    solve_mollified,
+    solve_paracontrolled,
+    solve_subcritical,
+)
+from gfsb.spectral import FourierField, Grid
+from gfsb.trees import CoefficientMap, RegularityParams
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -607,6 +617,65 @@ def test_no_module_imports_scipy():
     assert found == []
 
 
+def _file_writes(tree):
+    """(function, line) of every call in ``tree`` that writes a file:
+    ``open`` in a write mode, ``write_text``, ``write_bytes``,
+    ``os.replace`` or ``os.rename``.  A mode that is not a literal
+    counts as a write."""
+    owner = {}
+    for fn in ast.walk(tree):   # outer functions first, so inner ones win
+        if isinstance(fn, ast.FunctionDef):
+            owner.update((id(n), fn.name) for n in ast.walk(fn))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if name == "open":
+            index = 1 if isinstance(func, ast.Name) else 0
+            mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                        node.args[index] if len(node.args) > index
+                        else ast.Constant("r"))
+            writes = not (isinstance(mode, ast.Constant)
+                          and not set("wax+") & set(str(mode.value)))
+        elif name in ("write_text", "write_bytes"):
+            writes = isinstance(func, ast.Attribute)
+        else:
+            writes = (name in ("replace", "rename")
+                      and isinstance(func, ast.Attribute)
+                      and getattr(func.value, "id", None) == "os")
+        if writes:
+            found.append((owner.get(id(node)), node.lineno))
+    return found
+
+
+def test_only_the_atomic_helper_writes_files():
+    """Every file gfsb writes goes to a temp name that is renamed over
+    the target, so a reader never sees one half written."""
+    found = []
+    for path in sorted((ROOT / "src" / "gfsb").glob("*.py")):
+        found += [f"{path.stem}.{fn}:{line}" for fn, line in
+                  _file_writes(ast.parse(path.read_text()))
+                  if (path.stem, fn) != ("harness", "_atomic_write")]
+    assert found == []
+
+
+def test_the_write_guard_sees_each_way_to_write():
+    tree = ast.parse(
+        "import os\n"
+        "def f(p, m):\n"
+        "    open(p); open(p, 'rb'); p.open(); text.replace('a', 'b')\n"
+        "    replace(spec, name='x'); p.with_name(p.name)\n"
+        "    open(p, 'w'); open(p, mode='ab'); p.open('x'); open(p, m)\n"
+        "    p.write_text('x'); p.write_bytes(b'x'); os.replace(p, p)\n"
+        "    def g():\n"
+        "        os.rename(p, p)\n"
+        "diag_path.write_text('{}')\n")
+    found = sorted(_file_writes(tree), key=lambda write: write[1])
+    assert found == [("f", 5)] * 4 + [("f", 6)] * 3 + [("g", 8), (None, 9)]
+
+
 def test_readme_shows_every_command():
     """README's command-line block runs each gfsb subcommand, and no
     other, so a command added or deleted without its doc fails here."""
@@ -714,6 +783,11 @@ def _solve_cfg(path, **keys):
     return path
 
 
+def _trajectory(path):
+    with np.load(path, allow_pickle=False) as data:
+        return {key: data[key] for key in data.files}
+
+
 def test_cli_solve_direct_and_structured(tmp_path):
     cfg = _solve_cfg(tmp_path / "solve.cfg", gamma="2.0", n_modes="16",
                      t_end="0.05", seed="3", u0_modes="0.05-0.01j, 0.02j")
@@ -724,27 +798,93 @@ def test_cli_solve_direct_and_structured(tmp_path):
     diag = json.loads(
         (tmp_path / "runs" / "direct" / "diagnostics.json").read_text())
     assert "mild_residual" in diag
+    # the saved rows are the solve's, bit for bit (51 nodes: stride 1)
+    grid = Grid(16, 2.0)
+    want = solve_mollified(
+        sample_Y(NoiseConfig(gamma=2.0, epsilon=0.0, seed=3, dt=1e-3,
+                             t_end=0.05), grid),
+        FourierField(np.r_[0.05 - 0.01j, 0.02j, np.zeros(14)], grid))
+    saved = _trajectory(tmp_path / "runs" / "direct" / "trajectory.npz")
+    np.testing.assert_array_equal(saved["times"], want.times)
+    np.testing.assert_array_equal(saved["modes"], want.modes)
+    meta = json.loads(str(saved["meta"]))
+    assert meta["mode"] == "direct" and meta["config"]["gamma"] == "2.0"
 
     cfg2 = _solve_cfg(tmp_path / "solve2.cfg", n_modes="32", t_end="0.05",
                       seed="3", epsilon="0.125")
-    result = CliRunner().invoke(
-        main, ["solve", "--mode", "subcritical", "--config", str(cfg2),
-               "--out", str(tmp_path / "runs")])
-    assert result.exit_code == 0, result.output
-    diag = json.loads(
-        (tmp_path / "runs" / "subcritical" / "diagnostics.json").read_text())
-    assert diag["slabs"][0]["iterations"] > 0
-    assert all(f < 1.0 for f in diag["slabs"][0]["contraction_factors"])
+    grid = Grid(32, 1.75)
+    data = build_enhanced_data(
+        sample_Y(NoiseConfig(gamma=1.75, epsilon=0.125, seed=3, dt=1e-3,
+                             t_end=0.05), grid),
+        RegularityParams(alpha=-0.2, b=0.5))
+    coeffs = CoefficientMap.from_dict({"n": 1.0, "lr": 1.0, "rLlr": 2.0})
+    u0 = FourierField(np.zeros(32), grid)
+    for mode, solver in [("subcritical", solve_subcritical),
+                         ("paracontrolled", solve_paracontrolled)]:
+        result = CliRunner().invoke(
+            main, ["solve", "--mode", mode, "--config", str(cfg2),
+                   "--out", str(tmp_path / "runs")])
+        assert result.exit_code == 0, result.output
+        diag = json.loads(
+            (tmp_path / "runs" / mode / "diagnostics.json").read_text())
+        assert diag["slabs"][0]["iterations"] > 0
+        assert all(f < 1.0 for f in diag["slabs"][0]["contraction_factors"])
+        saved = _trajectory(tmp_path / "runs" / mode / "trajectory.npz")
+        solved = solver(data, coeffs, u0, tol=1e-9).reconstruct(data)
+        np.testing.assert_array_equal(saved["times"], solved.times)
+        np.testing.assert_array_equal(saved["modes"], solved.modes)
+        assert saved["n_modes"] == 32 and saved["gamma"] == 1.75
 
+    # a rerun replaces both files and leaves nothing else
     result = CliRunner().invoke(
         main, ["solve", "--mode", "direct", "--config", str(cfg),
-               "--out", str(tmp_path / "runs")])
+               "--stride", "10", "--out", str(tmp_path / "runs")])
     assert result.exit_code == 0
+    for mode in ("direct", "subcritical", "paracontrolled"):
+        assert sorted(p.name for p in (tmp_path / "runs" / mode).iterdir()
+                      ) == ["diagnostics.json", "trajectory.npz"]
+    saved = _trajectory(tmp_path / "runs" / "direct" / "trajectory.npz")
+    np.testing.assert_array_equal(saved["modes"], want.modes[::10])
 
     bad = _solve_cfg(tmp_path / "bad.cfg", gamma="2.0", what="1")
     result = CliRunner().invoke(
         main, ["solve", "--mode", "direct", "--config", str(bad)])
     assert result.exit_code != 0
+
+
+@pytest.mark.parametrize("head, second", [
+    ("[a]\ngamma = 1.75\n", "[b]\ngamma = 2.0\n"),
+    ("", "[b]\ngamma = 2.0\n"),
+    ("[DEFAULT]\ngamma = 1.75\n", "[solve]\ngamma = 2.0\n"),
+])
+def test_cli_solve_config_with_a_second_section_is_refused(tmp_path, head,
+                                                           second):
+    """Each key could then be given twice, once in each section."""
+    flat = _solve_cfg(tmp_path / "flat.cfg", gamma=None).read_text()
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text(head + flat + second)
+    result = CliRunner().invoke(
+        main, ["solve", "--mode", "direct", "--config", str(cfg),
+               "--out", str(tmp_path / "runs")])
+    assert result.exit_code == 2, result.output
+    name = second.splitlines()[0]
+    assert f"second section, {name}" in result.output
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("head", ["", "# a comment\n", "[params]\n",
+                                  "# a comment\n[params]\n"])
+def test_cli_solve_config_flat_or_one_section(tmp_path, head):
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text(head + _solve_cfg(tmp_path / "flat.cfg", gamma="2.0",
+                                     n_modes="8", t_end="0.01").read_text())
+    result = CliRunner().invoke(
+        main, ["solve", "--mode", "direct", "--config", str(cfg),
+               "--out", str(tmp_path / "runs")])
+    assert result.exit_code == 0, result.output
+    meta = json.loads(str(_trajectory(
+        tmp_path / "runs" / "direct" / "trajectory.npz")["meta"]))
+    assert meta["config"]["gamma"] == "2.0"
 
 
 def test_cli_solve_config_missing_a_key_is_a_usage_error(tmp_path):
@@ -778,6 +918,13 @@ def test_cli_sample_tree(tmp_path):
         main, ["sample-tree", "--symbol", "lr", "--n-modes", "16",
                "--t-end", "0.05", "--out", str(tmp_path)])
     assert result.exit_code == 0, result.output
-    manifest = json.loads((tmp_path / "lr" / "manifest.json").read_text())
-    assert manifest["format"] == "gfsb-trajectory"
-    assert manifest["meta"]["symbol"] == "lr"
+    assert [p.name for p in (tmp_path / "lr").iterdir()] == ["trajectory.npz"]
+    saved = _trajectory(tmp_path / "lr" / "trajectory.npz")
+    meta = json.loads(str(saved["meta"]))
+    assert meta["symbol"] == "lr" and meta["beta"] == 0.5
+    # the tree's rows, bit for bit: 51 nodes, so stride 1
+    config = NoiseConfig(gamma=1.75, epsilon=0.0, seed=0, dt=1e-3,
+                         t_end=0.05)
+    tree = build_tree_family(sample_Y(config, Grid(16, 1.75)))["lr"]
+    np.testing.assert_array_equal(saved["times"], tree.times)
+    np.testing.assert_array_equal(saved["modes"], tree.modes)

@@ -1,6 +1,8 @@
-"""OU noise engine: stationarity, covariance, coupling, persistence."""
+"""OU noise engine: stationarity, covariance, coupling; saved
+trajectories."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -8,10 +10,10 @@ import pytest
 from scipy import stats
 
 from gfsb.besov import sobolev_norms
+from gfsb.cli import _save_trajectory
 from gfsb.errors import (
     ConfigMismatch,
     GridMismatch,
-    IncompleteManifest,
     UnresolvedMollifier,
     ValidationError,
 )
@@ -20,14 +22,13 @@ from gfsb.noise import (
     _normals,
     _ou_path,
     check_grid,
-    load_trajectory,
     sample_Y,
     sample_Y_ensemble,
-    save_trajectory,
     stationary_sigma,
 )
 from gfsb.solver import epsilon_convergence_study
 from gfsb.spectral import FourierField, Grid
+from gfsb.trajectory import Trajectory
 
 CFG = NoiseConfig(gamma=2.0, epsilon=0.0, seed=42, dt=0.01, t_end=0.1)
 G8 = Grid(8, 2.0)
@@ -157,7 +158,7 @@ def test_circular_symmetry():
 
 def test_realization_is_real_and_mean_zero():
     traj = sample_Y(CFG, G8)
-    vals = traj.field(3).to_physical(64)
+    vals = FourierField(traj.modes[3], G8).to_physical(64)
     assert np.all(np.isreal(vals))
     assert abs(vals.mean()) < 1e-14
 
@@ -223,31 +224,51 @@ def test_couple_cauchy_differences_shrink():
     assert means[0] > means[1] > means[2]
 
 
-# ----------------------------------------------------------------- persistence
+# ---------------------------------------------------------- saved trajectories
+
+
+def _load(path):
+    with np.load(path, allow_pickle=False) as data:
+        return {key: data[key] for key in data.files}
 
 
 def test_trajectory_roundtrip(tmp_path):
-    traj = sample_Y(CFG, G8)
-    save_trajectory(traj, tmp_path / "run", meta={"purpose": "test"})
-    back = load_trajectory(tmp_path / "run")
-    np.testing.assert_allclose(back.times, traj.times, atol=1e-15)
-    np.testing.assert_array_equal(back.modes, traj.modes)
-    assert back.meta == {"purpose": "test"}
+    traj = sample_Y(dataclasses.replace(CFG, gamma=1.75), Grid(8, 1.75))
+    path = _save_trajectory(traj, tmp_path / "run", 1, {"purpose": "test"})
+    assert path == tmp_path / "run" / "trajectory.npz"
+    back = _load(path)
+    assert sorted(back) == ["gamma", "meta", "modes", "n_modes", "times"]
+    np.testing.assert_array_equal(back["times"], traj.times)
+    np.testing.assert_array_equal(back["modes"], traj.modes)
+    assert back["modes"].dtype == np.complex128
+    assert back["n_modes"] == 8 and back["gamma"] == 1.75
+    assert json.loads(str(back["meta"])) == {"purpose": "test"}
+
+
+def _nodes(n):
+    """An n-node trajectory whose rows tell their nodes apart."""
+    return Trajectory(np.arange(n) * 0.01,
+                      np.arange(2 * n).reshape(n, 2) * (1 + 1j),
+                      Grid(2, 2.0))
 
 
 def test_trajectory_stride(tmp_path):
     traj = sample_Y(CFG, G8)
-    save_trajectory(traj, tmp_path / "run", stride=5)
-    back = load_trajectory(tmp_path / "run")
-    assert len(back) == 3  # nodes 0, 5, 10
-    np.testing.assert_array_equal(back.modes[1], traj.modes[5])
+    back = _load(_save_trajectory(traj, tmp_path, 5, {}))
+    np.testing.assert_array_equal(back["times"], traj.times[[0, 5, 10]])
+    np.testing.assert_array_equal(back["modes"], traj.modes[[0, 5, 10]])
+    # stride 0 keeps every node of up to 200, and at most 200 beyond
+    for n, stride in [(11, 1), (200, 1), (201, 2), (501, 3)]:
+        back = _load(_save_trajectory(_nodes(n), tmp_path, 0, {}))
+        assert len(back["times"]) <= 200
+        np.testing.assert_array_equal(back["modes"],
+                                      _nodes(n).modes[::stride])
 
 
-def test_incomplete_manifest(tmp_path):
-    traj = sample_Y(CFG, G8)
-    save_trajectory(traj, tmp_path / "run")
-    (tmp_path / "run" / "node_000003.bin").unlink()
-    with pytest.raises(IncompleteManifest):
-        load_trajectory(tmp_path / "run")
-    with pytest.raises(IncompleteManifest):
-        load_trajectory(tmp_path / "empty")
+def test_a_shorter_rerun_leaves_one_trajectory_file(tmp_path):
+    _save_trajectory(_nodes(501), tmp_path, 1, {"run": 1})
+    _save_trajectory(_nodes(21), tmp_path, 1, {"run": 2})
+    assert [p.name for p in tmp_path.iterdir()] == ["trajectory.npz"]
+    back = _load(tmp_path / "trajectory.npz")
+    np.testing.assert_array_equal(back["times"], _nodes(21).times)
+    assert json.loads(str(back["meta"])) == {"run": 2}

@@ -1,4 +1,4 @@
-"""Spectral core: transforms, multipliers, products, mollifier, snapshots."""
+"""Spectral core: transforms, multipliers, products, mollifier."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfsb.errors import FormatError, GridMismatch
+from gfsb.errors import GridMismatch
 from gfsb.spectral import (
     FourierField,
     Grid,
@@ -17,8 +17,6 @@ from gfsb.spectral import (
     modes_to_physical,
     physical_to_modes,
     pointwise_product,
-    read_snapshot,
-    write_snapshot,
 )
 
 GRID = Grid(n_modes=8, gamma=2.0)
@@ -254,34 +252,3 @@ def test_mollifier_identity_and_resolution():
     assert not Mollifier(epsilon=0.1).resolved_by(grid)  # needs N >= 10
     with pytest.raises(ValueError):
         Mollifier(epsilon=-0.1)
-
-
-# ----------------------------------------------------------------- snapshots
-
-
-def test_snapshot_roundtrip(tmp_path):
-    f = rand_field(Grid(n_modes=12, gamma=1.75), seed=11)
-    p = tmp_path / "snap.bin"
-    write_snapshot(f, p, beta=0.5)
-    g, beta = read_snapshot(p)
-    assert beta == 0.5
-    assert g.grid == f.grid
-    np.testing.assert_array_equal(g.modes, f.modes)
-
-
-def test_snapshot_bad_magic(tmp_path):
-    p = tmp_path / "bad.bin"
-    p.write_bytes(b"NOPE" + b"\0" * 30)
-    with pytest.raises(FormatError):
-        read_snapshot(p)
-
-
-def test_snapshot_truncated(tmp_path):
-    f = rand_field(GRID)
-    p = tmp_path / "snap.bin"
-    write_snapshot(f, p)
-    data = p.read_bytes()
-    p.write_bytes(data[:-8])
-    with pytest.raises(FormatError):
-        read_snapshot(p)
-
