@@ -18,7 +18,13 @@ time-smoothed paraproduct, can be passed as ``_sample(q, n_modes)``:
 each of its masked blocks is sampled once on the grid that block's
 product uses, and ``modified_paraproduct`` then transforms only its
 smoothed factor.  Grids and transforms are ``product_modes``' own, so
-both routes give the same sums bit for bit.
+both routes give the same sums bit for bit.  A masked block that is
+all exactly zero is not sampled, and ``modified_paraproduct`` skips its
+smoothing, product and transform: Q of a mollified flow carries no
+modes from 1/eps on, so its top blocks are empty (4 of the 8 at c10's
+eps = 1/16, N = 256).  For a finite smoothed factor the skipped product
+is all +-0, and adding +-0 to a sum that starts at +0.0 never changes
+it, so the skip keeps every float.
 
 The solvers' contraction norm on C^s cap H^s is the max of two row-wise
 reads, both kept here so that every caller shares one definition:
@@ -180,7 +186,9 @@ def _pair_grids(n_modes: int, lower: bool):
 class _Sampled:
     """Q held as its masked blocks sampled on their product grids:
     ``blocks[i]`` belongs to entry i of ``_pair_grids(n_modes, True)``,
-    and the sampled Trajectory is kept for its times and grid."""
+    or is None when that masked block is all exactly zero, and the
+    sampled Trajectory is kept for its times and grid.  A None block
+    adds nothing to a paraproduct with a finite smoothed factor."""
 
     n_modes: int
     blocks: tuple
@@ -191,10 +199,13 @@ def _sample(q: Trajectory, n_modes: int) -> _Sampled:
     """Sample q's masked blocks once on the grids of the lower pairing,
     so that every ``modified_paraproduct`` against it transforms only its
     smoothed factor.  The sums are the same bit for bit: the same arrays
-    meet the same FFTs."""
-    blocks = tuple(modes_to_physical(q.modes[..., :blk.size] * blk, m)
-                   for _, (_, blk), m, _ in _pair_grids(n_modes, True))
-    return _Sampled(n_modes, blocks, q)
+    meet the same FFTs.  A masked block with no nonzero entry is kept
+    as None (NaN is nonzero, so a non-finite block is always sampled)."""
+    blocks = []
+    for _, (_, blk), m, _ in _pair_grids(n_modes, True):
+        masked = q.modes[..., :blk.size] * blk
+        blocks.append(modes_to_physical(masked, m) if masked.any() else None)
+    return _Sampled(n_modes, tuple(blocks), q)
 
 
 def _bilinear(f_modes, g_modes, n_modes, which: str):
@@ -341,7 +352,14 @@ class TimeMollifierBank:
 def modified_paraproduct(f: Trajectory, g, bank: TimeMollifierBank
                          ) -> Trajectory:
     """Lower paraproduct with a causally time-averaged low-pass factor;
-    ``g`` may come as ``_sample(g, n_modes)``, taken for f's grid."""
+    ``g`` may come as ``_sample(g, n_modes)``, taken for f's grid.
+
+    Blocks where g's masked modes are all exactly zero are skipped
+    (``_sample``), whichever way g comes.  When f's smoothed samples are
+    finite each skipped product is all +-0, so the result is the full
+    route's bit for bit; a non-finite f could turn a skipped 0 into NaN
+    on the full route.  The paracontrolled solver never passes one: a
+    non-finite sweep ends its slab attempt and restores u'."""
     n_modes = f.grid.n_modes
     if not isinstance(g, _Sampled):
         g = _sample(g, n_modes)
@@ -351,6 +369,8 @@ def modified_paraproduct(f: Trajectory, g, bank: TimeMollifierBank
     acc = np.zeros_like(g.trajectory.modes)
     for q_blk, (j, (lo, _), m, top) in zip(g.blocks,
                                            _pair_grids(n_modes, True)):
+        if q_blk is None:
+            continue
         left = bank.smooth(f.modes[..., :lo.size] * lo, j)
         acc += _product_of_samples(modes_to_physical(left, m), q_blk, m,
                                    top, n_modes)

@@ -25,10 +25,10 @@ common regime:
   are both measured at exponent s, so one norm read of their rows
   gives the larger.
 
-The tree square, Q sampled on every block grid, the free flow's
-exponentials over the slab, and the subcritical drift (the
-coefficient-weighted tree sum) sampled on its product grid are formed
-once per slab attempt.
+The tree square, Q sampled on every block grid it does not leave
+empty, the free flow's exponentials over the slab, and the subcritical
+drift (the coefficient-weighted tree sum) sampled on its product grid
+are formed once per slab attempt.
 
 The shared discretization applies the stiff linear part exactly through
 the per-mode exponential and the nonlinearity through trapezoid-weighted
@@ -586,11 +586,15 @@ def solve_paracontrolled(data: EnhancedData, coefficients, u0: FourierField,
     node because the paraproduct starts at 0).
 
     What depends only on the trees is formed once per slab attempt: the
-    square of X_lr, 2 (X_lr + y), and Q sampled on every block grid of
-    the paraproduct, so a sweep transforms only the factors that change;
-    so is the slab's table of free-flow exponentials.  The last attempt
-    ends at the last node, so the final paraproduct reuses its samples
-    of Q.
+    square of X_lr, 2 (X_lr + y), and Q sampled on the grid of each
+    paraproduct block it does not leave empty, so a sweep transforms
+    only the factors that change; so is the slab's table of free-flow
+    exponentials.  A sweep skips the blocks where Q is exactly zero
+    (with a mollified flow, those past the cutoff).  The skip keeps
+    every float because the paraproduct never reads a non-finite u': a
+    non-finite step ends the attempt, which restores u'.  The last
+    attempt ends at the last node, so the final paraproduct reuses its
+    samples of Q.
     Blow-up is monitored on the combined functional
     (u' at exponent s) + 2 (u# at exponent 2s), s = (alpha + b)/2.
     """

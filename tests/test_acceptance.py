@@ -37,19 +37,25 @@ DIGESTS = json.loads(capture_digests.DIGESTS.read_text())
 class DigestsNotCompared(Warning):
     """The artifact digests were taken on another platform."""
 
-# Absolute tolerances for values far under the 1e-12 floor.  Each is ten
+# Absolute tolerances where the default rule is loose: values far under
+# the 1e-12 floor, and c09's residual-order.  Each of the former is ten
 # times the largest move of the value when the study is rerun with every
 # product grid lengthened by 1, 2, 4 or 8 points, or doubled: all of
 # those grids are alias-free, so the moves are pure roundoff.  Largest
 # moves: 3.0e-19 for degenerate-* (m + 8), 5.0e-18 for reconstruction-*
 # (m + 1), and exactly 0 for lp-partition (6.3e-16) and mittag-leffler-e
 # (4.4e-16), which pass through no product, so those two must repeat bit
-# for bit.  They can only tighten the default rule.
+# for bit.  residual-order (2.00002) is read from 1e-9 defects of O(0.1)
+# states: over 24 lengthened grids (m + 1 ... m + 64, 2m, 3m) it moves by
+# up to 2.4e-10 (m + 13; 2.0e-10 at m + 4 over the five grids above).
+# Ten times that is the default rule, so its entry is 2.5 times it.
+# Every entry can only tighten the default rule.
 TOLERANCES = {
     ("c01-decomposition-identities", "lp-partition"): 0.0,
     ("c12-dependence-envelope", "mittag-leffler-e"): 0.0,
     ("c09-solver-degeneration", "degenerate-subcritical"): 3e-18,
     ("c09-solver-degeneration", "degenerate-paracontrolled"): 3e-18,
+    ("c09-solver-degeneration", "residual-order"): 6e-10,
     ("c10-solver-reconstruction", "reconstruction-subcritical"): 5e-17,
     ("c10-solver-reconstruction", "reconstruction-paracontrolled"): 5e-17,
 }

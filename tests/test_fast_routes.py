@@ -17,7 +17,9 @@ numpy alone, so scipy.fft is the oracle for its two stand-ins: the
 fast-length rule and a real kernel's mirrored spectrum.  A pairing, and a
 time-smoothed paraproduct against Q sampled ahead of time, must equal,
 bit for bit, the same sums formed one ``product_modes`` call per block,
-and a square must equal the product of its factor with a copy.  The
+also when Q leaves blocks exactly zero and the paraproduct skips them
+(a work guard counts one product per block Q fills), and a square must
+equal the product of its factor with a copy.  The
 paracontrolled sweep's one-product forcing must equal the paper's
 pairing form of it to roundoff, since the dealiased Bony split is exact.
 """
@@ -696,23 +698,120 @@ def test_sampled_factor_is_refused_elsewhere():
         modified_paraproduct(traj, _sample(other, 17), bank)
 
 
-@pytest.mark.parametrize("rows,n_modes", SAMPLED_SHAPES)
-def test_modified_paraproduct_with_sampled_q_is_bit_identical(rows,
-                                                              n_modes):
+def paraproduct_against_blockwise(rows, n_modes, make_q):
+    """modified_paraproduct of random f against Q = make_q(rng, shape),
+    passed as a Trajectory and as its samples: each must equal the
+    unskipped sum over every block bit for bit.  Returns Q's samples."""
     dt = 0.01
     bank = TimeMollifierBank(dt=dt, gamma=2.0)
     grid = Grid(n_modes, 2.0)
     times = dt * np.arange(rows)
     rng = np.random.default_rng(rows * n_modes)
     f = random_modes(rng, (rows, n_modes))
-    q = Trajectory(times, random_modes(rng, (rows, n_modes)), grid)
+    q = Trajectory(times, make_q(rng, (rows, n_modes)), grid)
     ref = blockwise_modified_paraproduct(f, q.modes, bank, n_modes)
     f_traj = Trajectory(times, f, grid)
-    plain = modified_paraproduct(f_traj, q, bank)
-    sampled = modified_paraproduct(f_traj, _sample(q, n_modes), bank)
-    assert_same(plain.modes, ref)
-    assert_same(sampled.modes, ref)
-    assert np.array_equal(sampled.times, times) and sampled.grid == grid
+    sampled_q = _sample(q, n_modes)
+    for g in (q, sampled_q):
+        out = modified_paraproduct(f_traj, g, bank)
+        assert_same(out.modes, ref)
+        assert np.array_equal(out.times, times) and out.grid == grid
+    return sampled_q
+
+
+@pytest.mark.parametrize("rows,n_modes", SAMPLED_SHAPES)
+def test_modified_paraproduct_with_sampled_q_is_bit_identical(rows,
+                                                              n_modes):
+    paraproduct_against_blockwise(rows, n_modes, random_modes)
+
+
+def band_limited(rng, shape, band):
+    """Random modes 1..band, exactly zero above: the Q of a flow
+    mollified with cutoff below band + 1."""
+    modes = np.zeros(shape, dtype=complex)
+    modes[..., :band] = random_modes(rng, shape[:-1] + (band,))
+    return modes
+
+
+def top_mode_only(rng, shape):
+    modes = np.zeros(shape, dtype=complex)
+    modes[..., -1] = random_modes(rng, shape[:-1])
+    return modes
+
+
+def empty_q_blocks(q_modes, n_modes):
+    """Per block of the lower pairing: are Q's masked modes all zero?"""
+    return [not np.any(q_modes[..., :blk.size] * blk)
+            for lo, _, blk in _para_masks(n_modes) if lo.size]
+
+
+ZERO_BLOCK_QS = {
+    # c10's Q at eps = 1/16: modes 1-15, blocks j >= 5 empty
+    "band-15-51x128": (51, 128, lambda rng, sh: band_limited(rng, sh, 15)),
+    "band-15-1001x256": (1001, 256,
+                         lambda rng, sh: band_limited(rng, sh, 15)),
+    # one mode, in the top blocks only: every lower block is empty
+    "top-mode-51x128": (51, 128, top_mode_only),
+    "top-mode-40x17": (40, 17, top_mode_only),
+    # c09's degenerate data: no noise, so Q is zero
+    "zero-51x128": (51, 128, lambda rng, sh: np.zeros(sh, dtype=complex)),
+    "zero-5x7": (5, 7, lambda rng, sh: np.zeros(sh, dtype=complex)),
+}
+
+
+@pytest.mark.parametrize("case", ZERO_BLOCK_QS)
+def test_modified_paraproduct_skipping_empty_q_blocks_is_bit_identical(
+        case):
+    """Blocks where Q is exactly zero are not sampled, and the
+    paraproduct skips them with the same result."""
+    rows, n_modes, make_q = ZERO_BLOCK_QS[case]
+    sampled_q = paraproduct_against_blockwise(rows, n_modes, make_q)
+    empty = empty_q_blocks(sampled_q.trajectory.modes, n_modes)
+    assert any(empty)
+    assert [blk is None for blk in sampled_q.blocks] == empty
+
+
+def test_non_finite_q_blocks_are_sampled():
+    """NaN is not zero, and a zero weight keeps it NaN: a NaN at mode 100
+    makes every block whose band reaches mode 100 sampled, as the full
+    route reads them; the bands below it never see the NaN."""
+    grid = Grid(128, 2.0)
+    modes = np.zeros((5, 128), dtype=complex)
+    modes[2, 99] = np.nan
+    sampled_q = _sample(Trajectory(0.01 * np.arange(5), modes, grid), 128)
+    reaches = [blk.size >= 100 for lo, _, blk in _para_masks(128) if lo.size]
+    assert any(reaches)
+    assert [blk is not None for blk in sampled_q.blocks] == reaches
+
+
+def test_modified_paraproduct_makes_one_product_per_nonempty_q_block(
+        monkeypatch):
+    """Work guard: at the reconstruction shape (51 nodes, N = 128) with
+    c10's Q band (modes 1-15), one paraproduct makes exactly one block
+    product per block where Q is not zero: 4 of the 7.  An unskipped
+    loop gives the same bytes, so only a count can see it."""
+    calls = []
+    product = gfsb.besov._product_of_samples
+
+    def spy(*args):
+        calls.append(args[2])
+        return product(*args)
+
+    monkeypatch.setattr(gfsb.besov, "_product_of_samples", spy)
+    rows, n_modes = 51, 128
+    grid = Grid(n_modes, 1.75)
+    times = 4e-4 * np.arange(rows)
+    rng = np.random.default_rng(15)
+    q = Trajectory(times, band_limited(rng, (rows, n_modes), 15), grid)
+    f = Trajectory(times, random_modes(rng, (rows, n_modes)), grid)
+    bank = TimeMollifierBank(dt=4e-4, gamma=1.75)
+    empty = empty_q_blocks(q.modes, n_modes)
+    assert (len(empty), empty.count(False)) == (7, 4)
+    sampled_q = _sample(q, n_modes)
+    for g in (q, sampled_q):
+        calls.clear()
+        modified_paraproduct(f, g, bank)
+        assert len(calls) == 4
 
 
 # ------------------------------------------- paracontrolled sweep forcing
