@@ -62,7 +62,8 @@ class BlowupDetected(GFSBError):
 
 
 class NoContraction(GFSBError):
-    """Picard iteration failed to contract after slab refinement."""
+    """Picard iteration failed to contract at the 8-step slab floor,
+    or an implicit step failed to converge."""
 
 
 class NonpositiveOrder(GFSBError):

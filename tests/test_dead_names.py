@@ -1,8 +1,9 @@
-"""Guard against public names and options that nothing in the package
-uses.
+"""Guard against names and options that nothing in the package uses.
 
-Every public top-level function or class in ``src/gfsb/*.py`` must be
-referenced somewhere else under ``src/``, by name or as an attribute.
+Every top-level function or class in ``src/gfsb/*.py``, private or
+public, must be referenced somewhere else under ``src/``, by name or as
+an attribute; so a deletion that drops a helper's last call but keeps
+the helper fails here.  Every public method of a class must be too.
 A public method is reached only as an attribute, so a local variable
 that shares its name does not count, and neither does an attribute of
 an imported module (``np.random`` is not ``FourierField.random``).
@@ -81,13 +82,13 @@ def _is_command(node) -> bool:
 
 
 def _definitions(trees):
-    """(qualified name, short name, node, is method) of every public
-    definition."""
+    """(qualified name, short name, node, is method) of every top-level
+    definition and every public method."""
     for module, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if node.name.startswith("_") or _is_command(node):
+            if _is_command(node):
                 continue
             yield f"{module}.{node.name}", node.name, node, False
             if isinstance(node, ast.ClassDef):
@@ -135,6 +136,16 @@ def test_every_public_name_is_reached_or_allowed():
     # an allowance whose name is gone, or is now called, must go too
     assert sorted(set(ALLOWED) - dead) == []
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def test_a_private_helper_without_a_caller_is_dead():
+    tree = ast.parse("def _refit(x): return _refit(x - 1)\n"
+                     "def _halve(x): return x // 2\n"
+                     "class _Fail(Exception):\n"
+                     "    def __init__(self): pass\n"
+                     "    def clear(self): pass\n"
+                     "_halve(_Fail)\n")
+    assert _unreferenced({"m": tree}) == {"m._refit", "m._Fail.clear"}
 
 
 def test_an_attribute_of_a_module_is_not_a_use():

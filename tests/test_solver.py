@@ -285,6 +285,48 @@ def test_contract_stops_below_tol_or_raises():
         assert len(fail.value.distances) == want
 
 
+def _march(top, dt=1e-3, longest=None, distances=(1e-3, 1e-4)):
+    """Run the slab loop over ``top`` steps with a fake solve that
+    closes any slab of at most ``longest`` steps with ``distances``;
+    returns the (start, steps) of every attempt and the slab records."""
+    tried = []
+
+    def attempt(i0, steps):
+        tried.append((i0, steps))
+        if longest is not None and steps > longest:
+            raise gfsb.solver._SlabDiverged([1.0, 10.0])
+        return None, list(distances)
+
+    slabs = gfsb.solver._march_slabs(np.arange(top + 1) * dt, attempt,
+                                     lambda i0, steps, cur: 0.0, "norm", 1.0)
+    return tried, slabs
+
+
+def test_a_slab_after_a_slow_one_still_tries_the_cap():
+    """A slab whose largest contraction factor is 2 leaves the next slab's
+    length alone: it tries the 100-step cap (0.1 time units), not a
+    length fitted to that factor."""
+    tried, slabs = _march(250, distances=(1e-3, 2e-3, 1e-12))
+    assert max(slabs[0]["factors"]) == pytest.approx(2.0)
+    assert tried == [(0, 100), (100, 100), (200, 50)]
+
+
+def test_a_halved_slab_is_followed_by_one_at_the_cap():
+    """A slab that fails halves; the slab after it tries the cap again."""
+    tried, slabs = _march(150, longest=60)
+    assert tried == [(0, 100), (0, 50), (50, 100), (50, 50), (100, 50)]
+    assert [slab["stop"] for slab in slabs] == pytest.approx(
+        [0.05, 0.1, 0.15])
+
+
+def test_the_last_slab_is_clipped_to_the_steps_left():
+    """No slab runs past the last node (the first test clips a slab at
+    250 steps), and the cap is 0.1 time units but never under the
+    8-step floor."""
+    assert _march(30)[0] == [(0, 30)]
+    assert _march(20, dt=0.05)[0] == [(0, 8), (8, 8), (16, 4)]
+
+
 # ----------------------------------------------------------- growth tools
 
 
